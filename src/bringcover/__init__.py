@@ -18,7 +18,6 @@ from .dessins import (
     build_i4,
     build_icosahedron,
     isomorphic,
-    new_dessin,
 )
 from .monodromy import MonodromyTriple, monodromy_triple, sheet_constellation
 from .perms import closure, identify_group, regular_representation
@@ -49,7 +48,6 @@ __all__ = [
     "is_orientable",
     "isomorphic",
     "monodromy_triple",
-    "new_dessin",
     "orientation_cover",
     "refinements",
     "regular_representation",

@@ -9,6 +9,10 @@ Subcommands::
     bringcover verify-all  the full verification suite
     bringcover export      DOT export of a named dessin
 
+Every subcommand builds its objects once, in one :class:`verify.Context`:
+the report subcommands run their checks on it and take their ``--json``
+extras from the same objects, and ``export`` builds only its target.
+
 Exit codes: 0 all gated checks pass, 1 some check failed, 2 usage or I/O
 error.
 """
@@ -20,9 +24,16 @@ import json
 import sys
 from dataclasses import replace
 
-from . import __version__, cells, cover, dessins, verify
-from .monodromy import monodromy_triple, sheet_constellation
-from .tracking import TrackingConfig, kernel_name
+from . import __version__, cells, cover, verify
+from .tracking import TrackingConfig
+
+_TRACKING_FLAGS = ("steps", "seed", "base_t", "radius0", "radius1",
+                   "radius_inf", "tol_residual", "tol_match_ratio",
+                   "tol_lambda")
+
+# export target -> Context property
+EXPORT_TARGETS = {"D": "dessin_d", "I4": "i4", "union": "union",
+                  "J": "dessin_j", "sheet": "sheet"}
 
 
 def _add_tracking_flags(p):
@@ -41,27 +52,15 @@ def _add_tracking_flags(p):
 
 
 def _config_from(args) -> TrackingConfig:
-    cfg = TrackingConfig()
-    overrides = {
-        "steps": args.steps,
-        "seed": args.seed,
-        "base_t": getattr(args, "base_t", None),
-        "radius0": args.radius0,
-        "radius1": args.radius1,
-        "radius_inf": args.radius_inf,
-        "tol_residual": args.tol_residual,
-        "tol_match_ratio": args.tol_match_ratio,
-        "tol_lambda": args.tol_lambda,
-    }
-    return replace(cfg, **{k: v for k, v in overrides.items()
-                           if v is not None})
+    overrides = {k: getattr(args, k) for k in _TRACKING_FLAGS
+                 if getattr(args, k) is not None}
+    return replace(TrackingConfig(), **overrides)
 
 
-def _write_json(path, payload) -> None:
+def _write(path, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
     except OSError as exc:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         raise SystemExit(2)
@@ -77,103 +76,74 @@ def _print_report(report) -> None:
           f"{n_info} informational")
 
 
-def _cmd_module(args, module: str) -> int:
-    cfg = _config_from(args)
-    report = verify.run_checks(cfg, only=module)
-    _print_report(report)
-    if args.json:
-        payload = report
-        if module == "cells":
-            payload = dict(report)
-            payload["enumerations"] = {
-                f"n={n},k={k}": [
-                    {"text": c.to_text(), "dimension": c.dimension,
-                     "orbit_size": c.orbit_size}
-                    for c in cells.enumerate_cells(n, k)
-                ]
-                for n, k in ((4, 0), (4, 1), (5, 0), (5, 1), (5, 2), (6, 0))
-            }
-        elif module == "cover":
-            payload = dict(report)
-            base = cover.surface_from_cells(cells.build_complex5())
-            lifted = cover.orientation_cover(base)
-            payload["base"] = {
-                "faces": base.n_faces, "edges": base.n_edges,
-                "vertices": base.n_vertices,
-                "euler_characteristic": cover.euler_characteristic(base),
-                "orientable": cover.is_orientable(base),
-            }
-            payload["cover"] = lifted.summary()
-            payload["dessin"] = cover.cover_to_dessin(lifted).to_text()
-        _write_json(args.json, payload)
-    return 0 if report["status"] == "pass" else 1
+def _cells_payload(ctx) -> dict:
+    return {"enumerations": {
+        f"n={n},k={k}": [
+            {"text": c.to_text(), "dimension": c.dimension,
+             "orbit_size": c.orbit_size}
+            for c in cells.enumerate_cells(n, k)
+        ]
+        for n, k in ((4, 0), (4, 1), (5, 0), (5, 1), (5, 2), (6, 0))
+    }}
 
 
-def _cmd_dessins(args) -> int:
-    cfg = _config_from(args)
-    report = verify.run_checks(cfg, only="dessins")
-    _print_report(report)
-    if args.json:
-        payload = dict(report)
-        payload["dessins"] = {
-            name: d.to_text()
-            for name, d in _named_dessins(cfg, with_sheet=False).items()
-        }
-        _write_json(args.json, payload)
-    return 0 if report["status"] == "pass" else 1
-
-
-def _cmd_monodromy(args) -> int:
-    cfg = _config_from(args)
-    report = verify.run_checks(cfg, only="monodromy")
-    _print_report(report)
-    if args.json:
-        payload = dict(report)
-        try:
-            payload["monodromy"] = monodromy_triple(cfg).report()
-        except Exception as exc:
-            payload["monodromy"] = {"error": f"{type(exc).__name__}: {exc}"}
-        _write_json(args.json, payload)
-    return 0 if report["status"] == "pass" else 1
-
-
-def _cmd_verify_all(args) -> int:
-    cfg = _config_from(args)
-    report = verify.run_checks(cfg, only=args.only)
-    print(f"bringcover {__version__} ({kernel_name()} kernel)")
-    _print_report(report)
-    if args.json:
-        _write_json(args.json, report)
-    return 0 if report["status"] == "pass" else 1
-
-
-def _named_dessins(cfg: TrackingConfig, with_sheet: bool) -> dict:
-    i4 = dessins.build_i4()
-    union = i4.union_with_dual()
-    out = {
-        "icosahedron": dessins.build_icosahedron(),
-        "I4": i4,
-        "union": union,
-        "J": union.dual().recolor(),
-        "D": cover.build_d(),
+def _cover_payload(ctx) -> dict:
+    base = ctx.surface
+    return {
+        "base": {
+            "faces": base.n_faces, "edges": base.n_edges,
+            "vertices": base.n_vertices,
+            "euler_characteristic": cover.euler_characteristic(base),
+            "orientable": cover.is_orientable(base),
+        },
+        "cover": ctx.cover.summary(),
+        "dessin": ctx.dessin_d.to_text(),
     }
-    if with_sheet:
-        out["sheet"] = sheet_constellation(monodromy_triple(cfg))
-    return out
+
+
+def _dessins_payload(ctx) -> dict:
+    named = {"icosahedron": ctx.icosahedron, "I4": ctx.i4,
+             "union": ctx.union, "J": ctx.dessin_j, "D": ctx.dessin_d}
+    return {"dessins": {name: d.to_text() for name, d in named.items()}}
+
+
+def _monodromy_payload(ctx) -> dict:
+    try:
+        return {"monodromy": ctx.triple.report()}
+    except Exception as exc:
+        return {"monodromy": {"error": f"{type(exc).__name__}: {exc}"}}
+
+
+# report subcommand -> (help, hook adding its --json extras); each module
+# subcommand runs that module's checks, verify-all runs all of them or --only
+REPORTS = {
+    "cells": ("cell census of the moduli complexes", _cells_payload),
+    "cover": ("base surface and orientation double cover", _cover_payload),
+    "dessins": ("built dessins, passports, symmetries", _dessins_payload),
+    "monodromy": ("numerically tracked Belyi monodromy", _monodromy_payload),
+    "verify-all": ("run every check", None),
+}
+
+
+def _cmd_report(args) -> int:
+    payload_hook = REPORTS[args.command][1]
+    ctx = verify.Context(_config_from(args))
+    only = args.only if payload_hook is None else args.command
+    report = verify.run_checks(ctx, only=only)
+    if payload_hook is None:
+        print(f"bringcover {__version__}")
+    _print_report(report)
+    if args.json:
+        payload = report if payload_hook is None \
+            else {**report, **payload_hook(ctx)}
+        _write(args.json, json.dumps(payload, indent=2, sort_keys=True)
+               + "\n")
+    return 0 if report["status"] == "pass" else 1
 
 
 def _cmd_export(args) -> int:
-    cfg = _config_from(args)
-    if args.target == "sheet":
-        d = sheet_constellation(monodromy_triple(cfg))
-    else:
-        d = _named_dessins(cfg, with_sheet=False)[args.target]
-    try:
-        with open(args.path, "w", encoding="utf-8") as fh:
-            fh.write(d.to_dot())
-    except OSError as exc:
-        print(f"error: cannot write {args.path}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+    ctx = verify.Context(_config_from(args))
+    _write(args.path, getattr(ctx, EXPORT_TARGETS[args.target]).to_dot())
     print(f"wrote {args.target} to {args.path}")
     return 0
 
@@ -186,25 +156,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in (
-        ("cells", "cell census of the moduli complexes"),
-        ("cover", "base surface and orientation double cover"),
-        ("dessins", "built dessins, passports, symmetries"),
-        ("monodromy", "numerically tracked Belyi monodromy"),
-    ):
+    for name, (help_text, payload_hook) in REPORTS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", metavar="PATH", default=None)
+        if payload_hook is None:
+            p.add_argument("--only", choices=verify.MODULES, default=None,
+                           help="restrict to one module's checks")
         _add_tracking_flags(p)
 
-    p = sub.add_parser("verify-all", help="run every check")
-    p.add_argument("--json", metavar="PATH", default=None)
-    p.add_argument("--only", choices=verify.MODULES, default=None,
-                   help="restrict to one module's checks")
-    _add_tracking_flags(p)
-
     p = sub.add_parser("export", help="write a dessin as DOT")
-    p.add_argument("--target", required=True,
-                   choices=("D", "I4", "union", "J", "sheet"))
+    p.add_argument("--target", required=True, choices=tuple(EXPORT_TARGETS))
     p.add_argument("--path", required=True)
     _add_tracking_flags(p)
     return parser
@@ -212,15 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    command = {
-        "cells": lambda a: _cmd_module(a, "cells"),
-        "cover": lambda a: _cmd_module(a, "cover"),
-        "dessins": _cmd_dessins,
-        "monodromy": _cmd_monodromy,
-        "verify-all": _cmd_verify_all,
-        "export": _cmd_export,
-    }[args.command]
-    return command(args)
+    if args.command == "export":
+        return _cmd_export(args)
+    return _cmd_report(args)
 
 
 if __name__ == "__main__":

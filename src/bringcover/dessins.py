@@ -35,10 +35,6 @@ class Passport:
     white: tuple
     face: tuple
 
-    def as_dict(self):
-        return {"black": list(self.black), "white": list(self.white),
-                "face": list(self.face)}
-
 
 class Dessin:
     """Immutable two-permutation constellation."""
@@ -225,10 +221,6 @@ class Dessin:
             out.append(f"  b{i} -- w{j} [bo={bp}, wo={wp}];")
         out.append("}")
         return "\n".join(out) + "\n"
-
-
-def new_dessin(sigma0, sigma1) -> Dessin:
-    return Dessin(sigma0, sigma1)
 
 
 @dataclass(frozen=True)

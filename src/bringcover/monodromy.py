@@ -22,7 +22,7 @@ from .perms import (
     regular_representation,
     symmetric_group,
 )
-from .tracking import TrackingConfig, kernel_name, loop_spec, track_loop
+from .tracking import TrackingConfig, loop_spec, track_loop
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,6 @@ class MonodromyTriple:
             "product_is_identity": self.product_is_identity(),
             "inf_direct_equals_composite": self.inf_exact,
             "composition_order_flipped": self.order_flipped,
-            "kernel": kernel_name(),
             "loops": {str(k): v.diagnostics() for k, v in self.loops.items()},
         }
 

@@ -192,50 +192,50 @@ def regular_representation(g: Perm, group: GroupClosure) -> Perm:
     return tuple(group.index_of(compose(g, x)) for x in group.elements)
 
 
-def _is_a5(group: GroupClosure) -> bool:
-    """Presentation witness: x of order 5, y of order 2, (xy)^3 = 1,
-    with <x, y> the whole group."""
-    if group.order != 60:
-        return False
-    fives = [g for g in group.elements if order(g) == 5]
-    twos = [g for g in group.elements if order(g) == 2]
-    n = len(group.elements[0])
-    for x in fives:
-        for y in twos:
-            xy = compose(x, y)
-            if compose(xy, compose(xy, xy)) != identity(n):
-                continue
-            if closure([x, y], cap=61).order == 60:
+def _power(p: Perm, k: int) -> Perm:
+    out = identity(len(p))
+    for _ in range(k):
+        out = compose(p, out)
+    return out
+
+
+def _commutator(a: Perm, b: Perm) -> Perm:
+    return compose(compose(inverse(a), inverse(b)), compose(a, b))
+
+
+# name -> (group order, generator orders, relators in the generators x, y)
+_PRESENTATIONS = {
+    # <x, y | x^5, y^2, (xy)^3>
+    "A5": (60, (5, 2), (lambda x, y: _power(compose(x, y), 3),)),
+    # <a, b | a^2, b^5, (ab)^4, [a,b]^3>  (Coxeter-Moser)
+    "S5": (120, (2, 5), (lambda a, b: _power(compose(a, b), 4),
+                         lambda a, b: _power(_commutator(a, b), 3))),
+}
+
+
+def _witness(group: GroupClosure, orders, relators) -> bool:
+    """Presentation witness: generators x, y of the given orders whose
+    relators are all trivial and which generate the whole group.
+
+    The group is then a quotient of the presented group; when both have
+    the same order they are isomorphic.
+    """
+    e = identity(len(group.elements[0]))
+    xs = [g for g in group.elements if order(g) == orders[0]]
+    ys = [g for g in group.elements if order(g) == orders[1]]
+    for x in xs:
+        for y in ys:
+            if all(rel(x, y) == e for rel in relators) and \
+                    closure([x, y], cap=group.order + 1).order == group.order:
                 return True
     return False
-
-
-def _center_is_trivial(group: GroupClosure) -> bool:
-    n = len(group.elements[0])
-    e = identity(n)
-    for g in group.elements:
-        if g == e:
-            continue
-        if all(compose(g, h) == compose(h, g) for h in group.generators):
-            return False
-    return True
-
-
-def _derived_subgroup(group: GroupClosure) -> GroupClosure:
-    comms = set()
-    for g in group.elements:
-        gi = inverse(g)
-        for h in group.elements:
-            comms.add(compose(compose(gi, inverse(h)), compose(g, h)))
-    return closure(sorted(comms), cap=group.order)
 
 
 def identify_group(gens, cap: int = DEFAULT_CLOSURE_CAP) -> str:
     """Classify the generated group as ``"A5"``, ``"S5"`` or ``"Other(n)"``.
 
-    A5: order 60 plus a presentation witness.  S5: order 120, trivial
-    center, derived subgroup identified as A5.  Sound for the only groups
-    this suite asserts; everything else reports its order.
+    A5 and S5 are each recognized by a presentation witness in a group of
+    the presented order (60 and 120); everything else reports its order.
     """
     grp = closure(gens, cap=cap)
     if grp.cap_exceeded:
@@ -246,12 +246,9 @@ def identify_group(gens, cap: int = DEFAULT_CLOSURE_CAP) -> str:
 def identify_closure(grp: GroupClosure) -> str:
     if grp.cap_exceeded:
         raise ValueError("closure cap exceeded; cannot classify")
-    if grp.order == 60 and _is_a5(grp):
-        return "A5"
-    if grp.order == 120 and _center_is_trivial(grp):
-        derived = _derived_subgroup(grp)
-        if _is_a5(derived):
-            return "S5"
+    for name, (size, orders, relators) in _PRESENTATIONS.items():
+        if grp.order == size and _witness(grp, orders, relators):
+            return name
     return f"Other({grp.order})"
 
 

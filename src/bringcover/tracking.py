@@ -9,43 +9,26 @@ by the exact fourth root of unity that returns the coefficient to its
 base value, and matched to the initial roots, which is the loop's
 permutation.
 
-The inner continuation loop is the package's one hot kernel.  A compiled
-version is used when available; set BRINGCOVER_PURE=1 to force the
-pure-Python twin.
+The continuation loop (:func:`track_path`) is the package's one tracking
+kernel, in plain Python: it continues the fourth-root branch b(t) of
+(256/3125)(1-t)/t and the five roots of x^5 + x + b(t) along the
+waypoints, halving any step that fails certification.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 
-from . import _tracking_py
-from ._tracking_py import TrackingError
 from .quintic import b_from_t, roots5
 
-if os.environ.get("BRINGCOVER_PURE"):
-    _backend = _tracking_py
-else:
-    try:
-        from . import _tracking_c as _backend
-    except ImportError:
-        _backend = _tracking_py
+_C = 256.0 / 3125.0
+_I_POWERS = (1 + 0j, 1j, -1 - 0j, -1j)
+_NEWTON_CAP = 60
 
 
-def kernel_name() -> str:
-    return "compiled" if _backend.__name__.endswith("_c") else "pure-python"
-
-
-def available_backends() -> dict:
-    out = {"pure-python": _tracking_py}
-    try:
-        from . import _tracking_c
-
-        out["compiled"] = _tracking_c
-    except ImportError:
-        pass
-    return out
+class TrackingError(RuntimeError):
+    """Continuation could not be certified at the configured resolution."""
 
 
 @dataclass(frozen=True)
@@ -65,20 +48,6 @@ class TrackingConfig:
     max_depth: int = 40
     budget_factor: float = 1.05
     seed: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "base_t": self.base_t,
-            "branch": self.branch,
-            "radius0": self.radius0,
-            "radius1": self.radius1,
-            "radius_inf": self.radius_inf,
-            "steps": self.steps,
-            "tol_residual": self.tol_residual,
-            "tol_match_ratio": self.tol_match_ratio,
-            "tol_lambda": self.tol_lambda,
-            "seed": self.seed,
-        }
 
     def with_steps(self, steps: int) -> "TrackingConfig":
         return replace(self, steps=steps)
@@ -157,10 +126,98 @@ class TrackResult:
         }
 
 
-def base_fiber(cfg: TrackingConfig) -> tuple:
-    """(b0, roots) over the base point; roots in deterministic order."""
-    b0 = b_from_t(complex(cfg.base_t), cfg.branch)
-    return b0, roots5(1.0, b0, tol=cfg.tol_residual)
+def _quintic_roots_newton(xs, b, tol):
+    """Polish the 5 seeds against x^5 + x + b; None when any seed stalls."""
+    out = []
+    worst = 0.0
+    scale = 1.0 + abs(b)
+    for x in xs:
+        converged = False
+        for _ in range(_NEWTON_CAP):
+            x2 = x * x
+            x4 = x2 * x2
+            f = x4 * x + x + b
+            if abs(f) <= tol * scale:
+                converged = True
+                break
+            x = x - f / (5 * x4 + 1)
+        if not converged:
+            return None, 0.0
+        worst = max(worst, abs(x * x * x * x * x + x + b) / scale)
+        out.append(x)
+    return out, worst
+
+
+def _try_step(t_target, b_cur, xs_cur, tol, ratio):
+    """One certified step; returns (b_new, xs_new, residual, separation)
+    or None when the step must be halved."""
+    w = _C * (1 - t_target) / t_target
+    principal = w ** 0.25
+    b_new = principal
+    best = abs(principal - b_cur)
+    for p in _I_POWERS[1:]:
+        cand = principal * p
+        d = abs(cand - b_cur)
+        if d < best:
+            best = d
+            b_new = cand
+    if best > 0.4 * abs(b_new):
+        return None
+
+    xs_new, residual = _quintic_roots_newton(xs_cur, b_new, tol)
+    if xs_new is None:
+        return None
+
+    separation = min(
+        abs(xs_new[i] - xs_new[j]) for i in range(5) for j in range(i + 1, 5)
+    )
+    for i in range(5):
+        d_self = abs(xs_new[i] - xs_cur[i])
+        d_other = min(abs(xs_new[j] - xs_cur[i]) for j in range(5) if j != i)
+        if d_self * ratio > d_other:
+            return None
+    return b_new, xs_new, residual, separation
+
+
+def track_path(ts, b0, xs0, tol_residual, match_ratio, max_depth, budget):
+    """Track the branch and roots along the waypoints ``ts``.
+
+    Returns (b_end, xs_end, max_residual, min_separation, steps_used).
+    Raises :class:`TrackingError` once a segment needs halving deeper than
+    ``max_depth`` or more than ``budget`` committed steps in total.
+    """
+    b_cur = complex(b0)
+    xs_cur = [complex(x) for x in xs0]
+    t_cur = complex(ts[0])
+    max_residual = 0.0
+    min_separation = float("inf")
+    steps_used = 0
+
+    def advance(t_target, depth):
+        nonlocal b_cur, xs_cur, t_cur, max_residual, min_separation, steps_used
+        result = _try_step(t_target, b_cur, xs_cur, tol_residual, match_ratio)
+        if result is None:
+            if depth >= max_depth:
+                raise TrackingError(
+                    "collision floor breached: segment halved "
+                    f"{max_depth} times near t={t_target}")
+            t_mid = 0.5 * (t_cur + t_target)
+            advance(t_mid, depth + 1)
+            advance(t_target, depth + 1)
+            return
+        steps_used += 1
+        if steps_used > budget:
+            raise TrackingError(
+                f"resolution budget exhausted ({budget} steps): "
+                "the loop needs finer sampling, increase steps")
+        b_cur, xs_cur, residual, separation = result
+        t_cur = t_target
+        max_residual = max(max_residual, residual)
+        min_separation = min(min_separation, separation)
+
+    for k in range(1, len(ts)):
+        advance(complex(ts[k]), 0)
+    return b_cur, tuple(xs_cur), max_residual, min_separation, steps_used
 
 
 def track_loop(spec: LoopSpec, cfg: TrackingConfig) -> TrackResult:
@@ -169,7 +226,7 @@ def track_loop(spec: LoopSpec, cfg: TrackingConfig) -> TrackResult:
     xs0 = roots5(1.0, b0, tol=cfg.tol_residual)
     ts = contour(spec)
     budget = int(cfg.budget_factor * (len(ts) - 1))
-    b_end, xs_end, max_residual, min_sep, steps_used = _backend.track_path(
+    b_end, xs_end, max_residual, min_sep, steps_used = track_path(
         ts, b0, xs0, cfg.tol_residual, cfg.tol_match_ratio,
         cfg.max_depth, budget)
 

@@ -9,7 +9,7 @@ gate correctness.  The global status is pass iff all non-info checks pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import factorial
 
 from . import __version__, cells, cover, dessins, quintic
@@ -22,7 +22,7 @@ from .perms import (
     regular_representation,
     symmetric_group,
 )
-from .tracking import TrackingConfig, kernel_name
+from .tracking import TrackingConfig
 
 
 class Context:
@@ -79,6 +79,11 @@ class Context:
     def sheet(self):
         return self._get("sheet", lambda: sheet_constellation(self.triple))
 
+    @property
+    def identities(self):
+        return self._get("identities", lambda: quintic.verify_identities(
+            samples=100, seed=self.config.seed))
+
 
 @dataclass(frozen=True)
 class CheckDef:
@@ -86,12 +91,6 @@ class CheckDef:
     module: str
     anchor: str
     fn: object
-
-
-def _passport_lists(d):
-    p = d.passport()
-    return {"black": list(p.black), "white": list(p.white),
-            "face": list(p.face)}
 
 
 def _type_counts(t):
@@ -366,9 +365,7 @@ def check_sheet_isomorphism(ctx):
 
 
 def check_identities(ctx):
-    rep = ctx._get("identities",
-                   lambda: quintic.verify_identities(samples=100,
-                                                     seed=ctx.config.seed))
+    rep = ctx.identities
     got = {"samples": rep.samples, "max_power_sum": rep.max_power_sum,
            "max_identity_error": rep.max_identity_error,
            "max_symmetric_error": rep.max_symmetric_error}
@@ -376,9 +373,7 @@ def check_identities(ctx):
 
 
 def check_printed_expression(ctx):
-    rep = ctx._get("identities",
-                   lambda: quintic.verify_identities(samples=20,
-                                                     seed=ctx.config.seed))
+    rep = ctx.identities
     got = {"deviation_from_belyi_value": rep.printed_expression_deviation,
            "weight_under_root_rescaling": rep.printed_expression_exponent}
     return "info", got, {"weight_under_root_rescaling": -9,
@@ -498,11 +493,16 @@ CHECKS = [
 MODULES = tuple(sorted({c.module for c in CHECKS}))
 
 
-def run_checks(config: TrackingConfig | None = None, only: str | None = None):
-    """Run the registry and return the report dict (checks sorted by name)."""
+def run_checks(config: TrackingConfig | Context | None = None,
+               only: str | None = None):
+    """Run the registry and return the report dict (checks sorted by name).
+
+    ``config`` may be a :class:`Context` whose built objects are reused
+    (and kept for the caller), or the configuration of a fresh one.
+    """
     if only is not None and only not in MODULES:
         raise ValueError(f"unknown module {only!r}; choose from {MODULES}")
-    ctx = Context(config)
+    ctx = config if isinstance(config, Context) else Context(config)
     results = []
     for check in sorted(CHECKS, key=lambda c: c.name):
         if only is not None and check.module != only:
@@ -525,7 +525,7 @@ def run_checks(config: TrackingConfig | None = None, only: str | None = None):
         r["status"] in ("pass", "info") for r in results) else "fail"
     return {
         "version": __version__,
-        "config": {**ctx.config.as_dict(), "kernel": kernel_name()},
+        "config": asdict(ctx.config),
         "checks": results,
         "status": status,
     }

@@ -3,7 +3,7 @@ with its wall time (run with ``pytest tests/test_acceptance.py -v -s``).
 
 Each criterion rebuilds what it measures so the stated time budgets are
 honest; they are asserted directly since the slowest criterion runs an
-order of magnitude under budget even on the pure-Python kernel.
+order of magnitude under budget.
 """
 
 import time

@@ -1,12 +1,36 @@
+import dataclasses
 import json
 import subprocess
 import sys
 
 import pytest
 
-from bringcover import verify
+from bringcover import cells, cover, monodromy, verify
 from bringcover.cli import main
 from bringcover.tracking import TrackingConfig
+
+
+def _record_calls(monkeypatch, *fns) -> list:
+    """Rebind each of fns in every bringcover module that binds it to a
+    wrapper that records the function and arguments of each call; returns
+    the record."""
+    calls = []
+
+    def recorder(fn):
+        def recording(*args, **kwargs):
+            calls.append((fn.__name__, *args))
+            return fn(*args, **kwargs)
+        return recording
+
+    modules = [m for name, m in list(sys.modules.items())
+               if name == "bringcover" or name.startswith("bringcover.")]
+    for fn in fns:
+        recording = recorder(fn)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, recording)
+    return calls
 
 
 def test_verify_all_default_passes(tmp_path, capsys):
@@ -34,6 +58,12 @@ def test_report_schema():
     assert (report["status"] == "pass") == \
         all(c["status"] == "pass" for c in gated)
     json.dumps(report)  # must be serializable as-is
+
+
+def test_report_echoes_full_config():
+    cfg = TrackingConfig(steps=256, max_depth=30, budget_factor=1.1, seed=7)
+    report = verify.run_checks(cfg, only="cells")
+    assert report["config"] == dataclasses.asdict(cfg)
 
 
 def test_only_filter():
@@ -72,6 +102,33 @@ def test_cover_json_export(tmp_path, capsys):
     from bringcover.dessins import Dessin
 
     assert Dessin.from_text(payload["dessin"]) == build_d()
+    capsys.readouterr()
+
+
+def test_cover_json_builds_complex5_once(tmp_path, monkeypatch, capsys):
+    calls = _record_calls(monkeypatch, cells.build_complex5)
+    assert main(["cover", "--json", str(tmp_path / "cover.json")]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
+def test_export_i4_builds_only_i4(tmp_path, monkeypatch, capsys):
+    calls = _record_calls(monkeypatch, cells.build_complex5,
+                          cover.cover_to_dessin)
+    assert main(["export", "--target", "I4",
+                 "--path", str(tmp_path / "I4.dot")]) == 0
+    assert calls == []
+    capsys.readouterr()
+
+
+def test_monodromy_json_tracks_each_triple_once(tmp_path, monkeypatch,
+                                                capsys):
+    calls = _record_calls(monkeypatch, monodromy.monodromy_triple)
+    out = tmp_path / "monodromy.json"
+    assert main(["monodromy", "--steps", "256", "--json", str(out)]) == 0
+    # the base triple and the doubling check's triple, nothing more
+    assert [cfg.steps for _, cfg in calls] == [256, 512]
+    assert json.loads(out.read_text())["monodromy"]["group_order"] == 120
     capsys.readouterr()
 
 

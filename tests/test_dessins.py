@@ -7,7 +7,6 @@ from bringcover.dessins import (
     build_i4,
     build_icosahedron,
     isomorphic,
-    new_dessin,
 )
 from bringcover.perms import cycle_type, from_cycles, identify_closure, identity
 
@@ -26,16 +25,16 @@ def _assert_iso_invariants(a, b, m):
 
 def test_new_dessin_examples():
     assert SINGLE_EDGE.is_connected
-    path = new_dessin(from_cycles(2, [(0, 1)]), identity(2))
+    path = Dessin(from_cycles(2, [(0, 1)]), identity(2))
     assert path.is_connected
     assert path.passport().black == (2,)
-    two_edges = new_dessin(identity(2), identity(2))
+    two_edges = Dessin(identity(2), identity(2))
     assert not two_edges.is_connected
 
 
 def test_new_dessin_degree_mismatch():
     with pytest.raises(ValueError):
-        new_dessin(identity(2), identity(3))
+        Dessin(identity(2), identity(3))
 
 
 def test_single_edge_passport():
@@ -77,7 +76,7 @@ def test_i4_automorphisms():
 
 def test_genus_disconnected():
     with pytest.raises(ValueError):
-        new_dessin(identity(2), identity(2)).genus()
+        Dessin(identity(2), identity(2)).genus()
 
 
 def test_recolor():
@@ -203,7 +202,7 @@ def test_isomorphic_invariant_mismatch():
 
 def test_isomorphic_requires_connected():
     with pytest.raises(ValueError):
-        isomorphic(new_dessin(identity(2), identity(2)), SINGLE_EDGE)
+        isomorphic(Dessin(identity(2), identity(2)), SINGLE_EDGE)
 
 
 def test_automorphisms_single_edge():

@@ -154,6 +154,19 @@ def test_identify_other():
     assert identify_group([T5]) == "Other(2)"
 
 
+@pytest.mark.parametrize("gens", [
+    # A5 x C2: A5 on 0..4, a transposition on 5, 6
+    [from_cycles(7, [(0, 1, 2, 3, 4)]), from_cycles(7, [(0, 1, 2)]),
+     from_cycles(7, [(5, 6)])],
+    # S4 x C5: S4 on 0..3, a 5-cycle on 4..8
+    [from_cycles(9, [(0, 1)]), from_cycles(9, [(0, 1, 2, 3)]),
+     from_cycles(9, [(4, 5, 6, 7, 8)])],
+], ids=["A5xC2", "S4xC5"])
+def test_identify_order_120_not_s5(gens):
+    assert closure(gens).order == 120
+    assert identify_group(gens) == "Other(120)"
+
+
 def test_identify_invariant_under_generating_set():
     # different generating pairs of the same groups
     assert identify_group([from_cycles(5, [(0, 1, 2, 3, 4)]),

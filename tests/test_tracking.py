@@ -3,7 +3,6 @@ import dataclasses
 
 import pytest
 
-import bringcover._tracking_py as kernel_py
 from bringcover.monodromy import monodromy_triple, sheet_constellation
 from bringcover.perms import cycle_type, identity, inverse
 from bringcover.quintic import b_from_t, roots5
@@ -11,10 +10,10 @@ from bringcover.tracking import (
     LoopSpec,
     TrackingConfig,
     TrackingError,
-    available_backends,
     contour,
     loop_spec,
     track_loop,
+    track_path,
 )
 
 CFG = TrackingConfig(steps=512)
@@ -172,33 +171,13 @@ def test_sheet_requires_full_group():
         sheet_constellation(bad)
 
 
-def test_backend_parity():
-    backends = available_backends()
-    if "compiled" not in backends:
-        pytest.skip("compiled kernel not built")
-    cfg = CFG
-    spec = loop_spec(cfg, "inf")
-    ts = contour(spec)
-    b0 = b_from_t(complex(spec.base_t), cfg.branch)
-    xs0 = roots5(1.0, b0)
-    budget = int(cfg.budget_factor * (len(ts) - 1))
-    args = (ts, b0, xs0, cfg.tol_residual, cfg.tol_match_ratio,
-            cfg.max_depth, budget)
-    rp = backends["pure-python"].track_path(*args)
-    rc = backends["compiled"].track_path(*args)
-    assert rp[4] == rc[4]                       # same step count
-    assert abs(rp[0] - rc[0]) < 1e-13           # same branch endpoint
-    for a, b in zip(rp[1], rc[1]):
-        assert abs(a - b) < 1e-12
-
-
 def test_kernel_budget_error_message():
     spec = loop_spec(CFG, 0)
     ts = contour(spec)
     b0 = b_from_t(complex(spec.base_t), 0)
     xs0 = roots5(1.0, b0)
-    with pytest.raises(kernel_py.TrackingError, match="budget"):
-        kernel_py.track_path(ts, b0, xs0, 1e-10, 3.0, 40, budget=10)
+    with pytest.raises(TrackingError, match="budget"):
+        track_path(ts, b0, xs0, 1e-10, 3.0, 40, budget=10)
 
 
 def test_kernel_collision_floor():
@@ -206,5 +185,5 @@ def test_kernel_collision_floor():
     ts = [0.5, 1.5]
     b0 = b_from_t(0.5, 0)
     xs0 = roots5(1.0, b0)
-    with pytest.raises(kernel_py.TrackingError, match="collision floor"):
-        kernel_py.track_path(ts, b0, xs0, 1e-10, 3.0, 20, budget=10**9)
+    with pytest.raises(TrackingError, match="collision floor"):
+        track_path(ts, b0, xs0, 1e-10, 3.0, 20, budget=10**9)
