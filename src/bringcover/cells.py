@@ -9,6 +9,15 @@ n - 3 - k.
 
 Positions are 0-based: side i runs between corners i and i+1 (mod n) and
 carries ``labels[i]``; a diagonal is a corner pair (a, b) with a < b.
+
+Labels are distinct, so the dihedral orbit of a (labels, diags) key has
+exactly 2n keys, and exactly two of them put label 1 on side 0; the
+smaller of those two is the key's dihedral normal form.  A class is held
+as the closure of one normal form under twists, each image re-normalised,
+so ``orbit_size`` is 2n times the number of its normal forms.  One index
+per (n, k) maps each normal form found so far to its class:
+``canonical_class`` normalises and looks up, walking the class on a
+miss, and ``enumerate_cells`` fills the index with every class.
 """
 
 from __future__ import annotations
@@ -63,6 +72,24 @@ def polygon(n: int, labels, diags=()) -> LabeledPolygon:
                           tuple(sorted(tuple(sorted(c)) for c in diags)))
 
 
+def _twist_key(labels: tuple, diags, chord) -> tuple:
+    """:func:`twist` on a bare (labels, diags) key; the chords of the
+    result come back as unsorted corner pairs."""
+    n = len(labels)
+    a, b = chord
+    k = b - a
+    turned = labels[a:] + labels[:a]  # chord now (0, k)
+    turned = turned[:k] + turned[k:][::-1]
+    moved = []
+    for c, d in diags:
+        c, d = (c - a) % n, (d - a) % n
+        if (c == 0 or c >= k) and (d == 0 or d >= k):
+            # inside the flipped part: corner c goes to k - c
+            c, d = (k - c) % n, (k - d) % n
+        moved.append(((c + a) % n, (d + a) % n))
+    return turned[n - a:] + turned[:n - a], moved
+
+
 def twist(p: LabeledPolygon, diag) -> LabeledPolygon:
     """Cut along ``diag``, flip one part, reglue: with the chord rotated
     to (0, k), the sides k..n-1 read backwards afterwards, so label order
@@ -74,73 +101,35 @@ def twist(p: LabeledPolygon, diag) -> LabeledPolygon:
     diag = tuple(sorted(diag))
     if diag not in p.diags:
         raise ValueError(f"{diag} is not a diagonal of the polygon")
-    a, b = diag
-    n = p.n
-    q = _rotate(p, a)  # chord now (0, k)
-    k = b - a
-
-    def flip_corner(c):
-        if c == 0:
-            return k
-        if c == k:
-            return 0
-        return k + n - c  # interior of the flipped part: k < c < n
-
-    labels = list(q.labels)
-    labels[k:] = labels[k:][::-1]
-    new_diags = []
-    for c, d in q.diags:
-        inside_flipped = (c == 0 or c >= k) and (d == 0 or d >= k)
-        if inside_flipped:
-            c, d = flip_corner(c), flip_corner(d)
-        new_diags.append((c, d))
-    return _rotate(polygon(n, labels, new_diags), (n - a) % n)
+    return polygon(p.n, *_twist_key(p.labels, p.diags, diag))
 
 
-def _rotate(p: LabeledPolygon, k: int) -> LabeledPolygon:
-    n = p.n
-    labels = tuple(p.labels[(i + k) % n] for i in range(n))
-    diags = [((a - k) % n, (b - k) % n) for a, b in p.diags]
-    return polygon(n, labels, diags)
-
-
-def _reflect(p: LabeledPolygon) -> LabeledPolygon:
-    """Reflection fixing corner 0: corner c -> -c, so side i -> n-1-i."""
-    n = p.n
-    labels = tuple(reversed(p.labels))
-    diags = [((-a) % n, (-b) % n) for a, b in p.diags]
-    return polygon(n, labels, diags)
-
-
-def _key(p: LabeledPolygon):
-    return (p.labels, p.diags)
-
-
-def orbit(p: LabeledPolygon) -> set:
-    """Closure of {p} under twists and the dihedral group, as a set of
-    (labels, diags) keys."""
-    seen = {_key(p)}
-    frontier = [p]
-    while frontier:
-        q = frontier.pop()
-        images = []
-        for k in range(q.n):
-            r = _rotate(q, k)
-            images.append(r)
-            images.append(_reflect(r))
-        images.extend(twist(q, d) for d in q.diags)
-        for r in images:
-            key = _key(r)
-            if key not in seen:
-                seen.add(key)
-                frontier.append(r)
-    return seen
+def _normal_form(labels, diags) -> tuple:
+    """The dihedral normal form of a (labels, diags) key: of the two
+    dihedral images that put label 1 on side 0, the smaller one."""
+    labels = tuple(labels)
+    n = len(labels)
+    j = labels.index(1)
+    labels = labels[j:] + labels[:j]
+    if labels[1] < labels[-1]:
+        moved = [((a - j) % n, (b - j) % n) for a, b in diags]
+    else:
+        # read the sides backwards from label 1: corner c -> j + 1 - c
+        labels = (1,) + labels[:0:-1]
+        moved = [((j + 1 - a) % n, (j + 1 - b) % n) for a, b in diags]
+    return labels, tuple(sorted((a, b) if a < b else (b, a)
+                                for a, b in moved))
 
 
 @dataclass(frozen=True, order=True)
 class CellClass:
     """A cell, held by its canonical representative: the lexicographic
-    minimum of (labels, diags) over the whole orbit."""
+    minimum of (labels, diags) over the whole orbit.
+
+    The minimum puts label 1 on side 0, so it is the least of the class's
+    dihedral normal forms; each normal form stands for 2n keys, so
+    ``orbit_size`` is 2n times their number.
+    """
 
     rep: LabeledPolygon
     orbit_size: int
@@ -153,11 +142,40 @@ class CellClass:
         return self.rep.to_text()
 
 
+@lru_cache(maxsize=None)
+def _index(n: int, k: int) -> dict:
+    """Normal form -> CellClass, for the classes of n-gons with k
+    diagonals found so far."""
+    return {}
+
+
+def _class_of(n: int, form) -> CellClass:
+    """The class of a normal form, from the index or else by a walk: the
+    closure of {form} under twists, each image re-normalised.  Twists
+    commute with the dihedral group up to a dihedral move, so the walk
+    meets every dihedral orbit of the class.  Each normal form is
+    validated once, as a LabeledPolygon, when first reached."""
+    index = _index(n, len(form[1]))
+    if form in index:
+        return index[form]
+    rep = LabeledPolygon(n, *form)
+    forms = {form}
+    frontier = [form]
+    while frontier:
+        labels, diags = frontier.pop()
+        for chord in diags:
+            image = _normal_form(*_twist_key(labels, diags, chord))
+            if image not in forms:
+                rep = min(rep, LabeledPolygon(n, *image))
+                forms.add(image)
+                frontier.append(image)
+    cls = CellClass(rep=rep, orbit_size=2 * n * len(forms))
+    index.update(dict.fromkeys(forms, cls))
+    return cls
+
+
 def canonical_class(p: LabeledPolygon) -> CellClass:
-    orb = orbit(p)
-    labels, diags = min(orb)
-    return CellClass(rep=LabeledPolygon(p.n, labels, diags),
-                     orbit_size=len(orb))
+    return _class_of(p.n, _normal_form(p.labels, p.diags))
 
 
 @lru_cache(maxsize=None)
@@ -198,19 +216,11 @@ def enumerate_cells(n: int, k: int) -> list:
         raise ValueError("n out of the supported range 3..8")
     if not 0 <= k <= n - 3:
         raise ValueError(f"diagonal count {k} out of range 0..{n - 3}")
-    classes = {}
-    visited = set()
     for labels in _all_labelings(n):
-        for diags in _admissible_chord_sets(n, k):
-            p = LabeledPolygon(n, labels, diags)
-            if _key(p) in visited:
-                continue
-            orb = orbit(p)
-            visited.update(orb)
-            rep_labels, rep_diags = min(orb)
-            rep = LabeledPolygon(n, rep_labels, rep_diags)
-            classes[_key(rep)] = CellClass(rep=rep, orbit_size=len(orb))
-    return [classes[key] for key in sorted(classes)]
+        if labels[1] < labels[-1]:  # the normal-form placement
+            for diags in _admissible_chord_sets(n, k):
+                _class_of(n, (labels, diags))
+    return sorted(set(_index(n, k).values()))
 
 
 def refinements(c: CellClass) -> list:
@@ -218,17 +228,12 @@ def refinements(c: CellClass) -> list:
     if c.dimension < 1:
         raise ValueError("cannot refine a 0-dimensional cell")
     p = c.rep
-    found = {}
-    for chord in _admissible_chord_sets(p.n, 1):
-        (new,) = chord
-        if new in p.diags:
+    found = set()
+    for (new,) in _admissible_chord_sets(p.n, 1):
+        if new in p.diags or any(_chords_cross(new, d) for d in p.diags):
             continue
-        if any(_chords_cross(new, d) for d in p.diags):
-            continue
-        q = polygon(p.n, p.labels, p.diags + (new,))
-        cls = canonical_class(q)
-        found[_key(cls.rep)] = cls
-    return [found[key] for key in sorted(found)]
+        found.add(canonical_class(polygon(p.n, p.labels, p.diags + (new,))))
+    return sorted(found)
 
 
 # The boundary 5-cycle of a pentagon cell: the five diagonals listed so
@@ -260,9 +265,11 @@ def build_complex5() -> CellComplexData:
     faces = enumerate_cells(5, 0)
     edges = enumerate_cells(5, 1)
     vertices = enumerate_cells(5, 2)
-    assert (len(faces), len(edges), len(vertices)) == (12, 30, 15)
-    edge_id = {_key(c.rep): i for i, c in enumerate(edges)}
-    vert_id = {_key(c.rep): i for i, c in enumerate(vertices)}
+    counts = (len(faces), len(edges), len(vertices))
+    if counts != (12, 30, 15):
+        raise RuntimeError(f"n=5 cell counts {counts}, expected (12, 30, 15)")
+    edge_id = {c: i for i, c in enumerate(edges)}
+    vert_id = {c: i for i, c in enumerate(vertices)}
 
     face_sides = []
     face_corners = []
@@ -274,33 +281,37 @@ def build_complex5() -> CellComplexData:
         for t in range(5):
             d_here = PENTAGON_SIDE_ORDER[t]
             d_next = PENTAGON_SIDE_ORDER[(t + 1) % 5]
-            e = edge_id[_key(canonical_class(
-                polygon(5, p.labels, (d_here,))).rep)]
-            v = vert_id[_key(canonical_class(
-                polygon(5, p.labels, (d_here, d_next))).rep)]
+            e = edge_id[canonical_class(polygon(5, p.labels, (d_here,)))]
+            v = vert_id[canonical_class(
+                polygon(5, p.labels, (d_here, d_next)))]
             sides.append(e)
             corners.append(v)
             edge_faces.setdefault(e, []).append((f, t))
-        assert len(set(sides)) == 5
+        if len(set(sides)) != 5:
+            raise RuntimeError(f"face {f} repeats a side class")
         face_sides.append(tuple(sides))
         face_corners.append(tuple(corners))
 
     edge_vertices = {}
     for e, uses in edge_faces.items():
-        assert len(uses) == 2, f"edge {e} has {len(uses)} cofaces"
+        if len(uses) != 2:
+            raise RuntimeError(f"edge {e} has {len(uses)} cofaces")
         endpoint_sets = []
         for f, t in uses:
             ends = (face_corners[f][(t - 1) % 5], face_corners[f][t])
-            assert ends[0] != ends[1]
+            if ends[0] == ends[1]:
+                raise RuntimeError(f"edge {e} is a loop in face {f}")
             endpoint_sets.append(frozenset(ends))
-        assert endpoint_sets[0] == endpoint_sets[1]
+        if endpoint_sets[0] != endpoint_sets[1]:
+            raise RuntimeError(f"edge {e} endpoints differ between cofaces")
         edge_vertices[e] = tuple(sorted(endpoint_sets[0]))
 
     corner_count = {}
     for corners in face_corners:
         for v in corners:
             corner_count[v] = corner_count.get(v, 0) + 1
-    assert all(corner_count[v] == 4 for v in range(15))
+    if any(corner_count.get(v) != 4 for v in range(15)):
+        raise RuntimeError("a vertex class is not a corner of 4 faces")
 
     return CellComplexData(
         faces=tuple(faces),

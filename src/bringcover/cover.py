@@ -163,7 +163,8 @@ class OrientedCover:
         if not self.is_connected:
             raise ValueError("genus of a disconnected cover is ambiguous")
         chi = self.euler_characteristic()
-        assert chi % 2 == 0
+        if chi % 2:
+            raise RuntimeError(f"odd Euler characteristic {chi}")
         return (2 - chi) // 2
 
     def summary(self) -> dict:
@@ -205,7 +206,8 @@ def _corner_step(s: SurfaceComplex, f: int, o: int, c: int):
     c2 = t2 if o2 == 1 else (t2 - 1) % len(s.face_edges[f2])
     here = s.face_corners[f][c]
     there = s.face_corners[f2][c2]
-    assert here == there, "gluing endpoint correspondence broken"
+    if here != there:
+        raise RuntimeError("gluing endpoint correspondence broken")
     return f2, o2, c2
 
 
@@ -247,7 +249,8 @@ def orientation_cover(s: SurfaceComplex) -> OrientedCover:
                     seen.add(cur)
                     cyc.append(cur)
                     cur = _corner_step(s, *cur)
-                assert cur == cyc[0], "corner walk did not close up"
+                if cur != cyc[0]:
+                    raise RuntimeError("corner walk did not close up")
                 vertex_corners.append(tuple(cyc))
     return OrientedCover(base=s, components=components,
                          vertex_corners=tuple(vertex_corners))
@@ -280,14 +283,16 @@ def cover_to_dessin(cov: OrientedCover, orientation: int = 1) -> Dessin:
                     dart_keys.add((ce, vertex_of[(f, o, c)]))
     dart_id = {key: i for i, key in enumerate(sorted(dart_keys))}
     n = len(dart_id)
-    assert n == 2 * cov.n_edges, "every cover edge must have two distinct ends"
+    if n != 2 * cov.n_edges:
+        raise RuntimeError("every cover edge must have two distinct ends")
 
     sigma1 = [0] * n
     by_edge = {}
     for (ce, v), i in dart_id.items():
         by_edge.setdefault(ce, []).append(i)
     for ce, pair in by_edge.items():
-        assert len(pair) == 2
+        if len(pair) != 2:
+            raise RuntimeError(f"cover edge {ce} has {len(pair)} darts")
         sigma1[pair[0]] = pair[1]
         sigma1[pair[1]] = pair[0]
 
@@ -298,7 +303,8 @@ def cover_to_dessin(cov: OrientedCover, orientation: int = 1) -> Dessin:
         for f, o, c in walk:
             t_out = (c + 1) % len(s.face_edges[f]) if o == 1 else c
             ids.append(dart_id[(_cover_edge_id(s, f, t_out, o), v)])
-        assert len(set(ids)) == len(ids)
+        if len(set(ids)) != len(ids):
+            raise RuntimeError(f"vertex {v} meets a dart twice")
         for i, d in enumerate(ids):
             sigma0[d] = ids[(i + 1) % len(ids)]
 

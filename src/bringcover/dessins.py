@@ -54,9 +54,10 @@ class Dessin:
         self_set("sigma1", sigma1)
         self_set("sigma_inf", inverse(compose(sigma0, sigma1)))
         self_set("_connected", None)
-        # product identity holds by construction; assert it anyway
-        assert compose(compose(self.sigma0, self.sigma1), self.sigma_inf) \
-            == identity(self.n_darts)
+        # product identity holds by construction; check it anyway
+        if compose(compose(self.sigma0, self.sigma1), self.sigma_inf) \
+                != identity(self.n_darts):
+            raise RuntimeError("sigma0 sigma1 sigma_inf is not the identity")
 
     def __setattr__(self, *a):
         raise AttributeError("Dessin is immutable")
@@ -111,7 +112,8 @@ class Dessin:
             raise ValueError("genus is defined for connected dessins only")
         chi = (num_cycles(self.sigma0) + num_cycles(self.sigma1)
                + num_cycles(self.sigma_inf) - self.n_darts)
-        assert chi % 2 == 0 and chi <= 2
+        if chi % 2 or chi > 2:
+            raise RuntimeError(f"Euler characteristic {chi} is not 2 - 2g")
         return (2 - chi) // 2
 
     # -- Belyi-substitution transforms ---------------------------------
@@ -284,7 +286,8 @@ def isomorphic(a: Dessin, b: Dessin) -> IsoMap | None:
         h = _extend_from_anchor(a, b, target)
         if h is not None:
             m = IsoMap(h)
-            assert m.is_valid(a, b)
+            if not m.is_valid(a, b):
+                raise RuntimeError("anchor extension gave an invalid map")
             return m
     return None
 
@@ -300,7 +303,9 @@ def automorphism_group(d: Dessin) -> GroupClosure:
         if h is not None:
             maps.append(h)
     grp = closure(maps)
-    assert grp.order == len(maps)
+    if grp.order != len(maps):
+        raise RuntimeError(f"{len(maps)} automorphisms close to a group "
+                           f"of order {grp.order}")
     return grp
 
 
@@ -334,7 +339,8 @@ ICOSAHEDRON_ROTATION = (
 def _icosahedron_perms():
     edges = sorted({tuple(sorted((v, w)))
                     for v in range(12) for w in ICOSAHEDRON_ROTATION[v]})
-    assert len(edges) == 30
+    if len(edges) != 30:
+        raise RuntimeError(f"icosahedron rotation has {len(edges)} edges")
     eidx = {e: i for i, e in enumerate(edges)}
 
     def dart(v, w):

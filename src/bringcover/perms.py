@@ -267,5 +267,6 @@ def symmetric_group(n: int) -> GroupClosure:
         return closure([identity(1)])
     gens = [from_cycles(n, [(0, 1)]), from_cycles(n, [tuple(range(n))])]
     grp = closure(gens)
-    assert grp.order == factorial(n)
+    if grp.order != factorial(n):
+        raise RuntimeError(f"generators of S_{n} closed to order {grp.order}")
     return grp

@@ -160,7 +160,8 @@ def verify_identities(samples: int = 100, seed: int = 0) -> IdentityReport:
 
     ratio = printed_expr(xs_scaled) / printed_expr(xs)
     exponent = round(math.log(abs(ratio)) / math.log(abs(lam)))
-    assert abs(ratio - lam**exponent) < 1e-6 * abs(ratio)
+    if not abs(ratio - lam**exponent) < 1e-6 * abs(ratio):
+        raise ArithmeticError("printed expression is not homogeneous")
     return IdentityReport(
         samples=samples,
         max_power_sum=max_ps,

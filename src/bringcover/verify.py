@@ -133,11 +133,11 @@ def check_cells_top_formula(ctx):
 def check_refinements(ctx):
     faces = cells.enumerate_cells(5, 0)
     edges = cells.enumerate_cells(5, 1)
-    face_refs = {len(cells.refinements(c)) for c in faces}
-    edge_refs = {len(cells.refinements(c)) for c in edges}
-    dims_ok = all(
-        r.dimension == c.dimension - 1
-        for c in faces + edges for r in cells.refinements(c))
+    refs = {c: cells.refinements(c) for c in faces + edges}
+    face_refs = {len(refs[c]) for c in faces}
+    edge_refs = {len(refs[c]) for c in edges}
+    dims_ok = all(r.dimension == c.dimension - 1
+                  for c, rs in refs.items() for r in rs)
     observed = {"per_face": sorted(face_refs), "per_edge": sorted(edge_refs),
                 "dimension_drops_by_one": dims_ok}
     ok = face_refs == {5} and edge_refs == {2} and dims_ok
@@ -279,7 +279,7 @@ def check_involutions(ctx):
             bad.append(f"recolor({name})")
         if d.mirror().mirror() != d:
             bad.append(f"mirror({name})")
-        if d.genus() < 0:  # genus() itself asserts Euler parity
+        if d.genus() < 0:  # genus() itself checks Euler parity
             bad.append(f"euler({name})")
         if d.subdivide().genus() != d.genus():
             bad.append(f"subdivide({name})")

@@ -1,9 +1,15 @@
+from functools import lru_cache
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bringcover.cells import (
     PENTAGON_SIDE_ORDER,
+    CellClass,
+    LabeledPolygon,
     build_complex5,
     canonical_class,
     enumerate_cells,
@@ -11,6 +17,169 @@ from bringcover.cells import (
     refinements,
     twist,
 )
+
+
+# ------------------------------------------------------------ reference
+# The raw orbit search: the closure of one polygon under the dihedral
+# group and twists, every image built and validated as a LabeledPolygon.
+# It knows nothing of normal forms, so the index in cells.py is checked
+# against it.
+
+def _rotate(p, k):
+    n = p.n
+    labels = tuple(p.labels[(i + k) % n] for i in range(n))
+    diags = [((a - k) % n, (b - k) % n) for a, b in p.diags]
+    return polygon(n, labels, diags)
+
+
+def reference_twist(p, diag):
+    """Twist on polygons: rotate the chord to (0, k), flip sides k..n-1
+    with the chords inside them, rotate back."""
+    a, b = diag
+    n = p.n
+    q = _rotate(p, a)
+    k = b - a
+
+    def flip_corner(c):
+        if c == 0:
+            return k
+        if c == k:
+            return 0
+        return k + n - c  # interior of the flipped part: k < c < n
+
+    labels = list(q.labels)
+    labels[k:] = labels[k:][::-1]
+    new_diags = []
+    for c, d in q.diags:
+        if (c == 0 or c >= k) and (d == 0 or d >= k):
+            c, d = flip_corner(c), flip_corner(d)
+        new_diags.append((c, d))
+    return _rotate(polygon(n, labels, new_diags), (n - a) % n)
+
+
+def _reflect(p):
+    """Reflection fixing corner 0: corner c -> -c, so side i -> n-1-i."""
+    n = p.n
+    labels = tuple(reversed(p.labels))
+    diags = [((-a) % n, (-b) % n) for a, b in p.diags]
+    return polygon(n, labels, diags)
+
+
+def _key(p):
+    return (p.labels, p.diags)
+
+
+def orbit(p):
+    """Closure of {p} under twists and the dihedral group, as a set of
+    (labels, diags) keys."""
+    seen = {_key(p)}
+    frontier = [p]
+    while frontier:
+        q = frontier.pop()
+        images = []
+        for k in range(q.n):
+            r = _rotate(q, k)
+            images.append(r)
+            images.append(_reflect(r))
+        images.extend(reference_twist(q, d) for d in q.diags)
+        for r in images:
+            key = _key(r)
+            if key not in seen:
+                seen.add(key)
+                frontier.append(r)
+    return seen
+
+
+def reference_class(p):
+    orb = orbit(p)
+    return CellClass(rep=LabeledPolygon(p.n, *min(orb)), orbit_size=len(orb))
+
+
+def _crossing(c1, c2):
+    (a, b), (c, d) = c1, c2
+    return a < c < b < d or c < a < d < b
+
+
+def _chords(n):
+    return [(a, b) for a, b in combinations(range(n), 2)
+            if 2 <= b - a <= n - 2]
+
+
+@lru_cache(maxsize=None)
+def reference_index(n, k):
+    """Raw key -> class, for every key of every n-gon class with k
+    diagonals."""
+    chord_sets = [s for s in combinations(_chords(n), k)
+                  if not any(_crossing(c, d) for c, d in combinations(s, 2))]
+    index = {}
+    for rest in permutations(range(2, n + 1)):
+        for diags in chord_sets:
+            if ((1,) + rest, diags) not in index:
+                orb = orbit(polygon(n, (1,) + rest, diags))
+                cls = CellClass(rep=LabeledPolygon(n, *min(orb)),
+                                orbit_size=len(orb))
+                index.update(dict.fromkeys(orb, cls))
+    return index
+
+
+NK = [(n, k) for n in range(3, 7) for k in range(n - 2)]
+
+
+@pytest.mark.parametrize("n,k", NK)
+def test_enumerate_matches_reference(n, k):
+    assert enumerate_cells(n, k) == sorted(set(reference_index(n, k).values()))
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n, k in NK if n - 3 - k >= 1])
+def test_refinements_match_reference(n, k):
+    finer = reference_index(n, k + 1)
+    for cls in sorted(set(reference_index(n, k).values())):
+        p = cls.rep
+        expected = {finer[_key(polygon(n, p.labels, p.diags + (c,)))]
+                    for c in _chords(n)
+                    if c not in p.diags
+                    and not any(_crossing(c, d) for d in p.diags)}
+        assert refinements(cls) == sorted(expected)
+
+
+@st.composite
+def labeled_polygons(draw):
+    n = draw(st.integers(3, 7))
+    labels = draw(st.permutations(range(1, n + 1)))
+    chords = _chords(n)
+    picks = draw(st.lists(st.sampled_from(chords), max_size=n)) \
+        if chords else []
+    diags = []
+    for c in picks:
+        if c not in diags and not any(_crossing(c, d) for d in diags):
+            diags.append(c)
+    return polygon(n, labels, diags)
+
+
+@settings(max_examples=60, deadline=None)
+@given(labeled_polygons())
+def test_canonical_class_matches_reference(p):
+    assert canonical_class(p) == reference_class(p)
+
+
+@given(labeled_polygons())
+def test_twist_matches_reference(p):
+    for d in p.diags:
+        assert twist(p, d) == reference_twist(p, d)
+
+
+def test_canonical_class_beyond_enumeration_range():
+    # enumerate_cells stops at n=8; canonical_class takes any polygon
+    p = polygon(9, (4, 9, 1, 7, 2, 8, 3, 6, 5), [(0, 4), (1, 3), (4, 7)])
+    assert canonical_class(p) == reference_class(p)
+    assert canonical_class(twist(p, (4, 7))) == canonical_class(p)
+
+
+def test_enumerate_returns_fresh_list():
+    cells = enumerate_cells(5, 1)
+    cells.clear()
+    assert len(enumerate_cells(5, 1)) == 30
+    assert enumerate_cells(5, 1) is not enumerate_cells(5, 1)
 
 
 def test_polygon_validation():
@@ -192,3 +361,10 @@ class TestComplex5:
         assert all(c.dimension == 2 for c in cx.faces)
         assert all(c.dimension == 1 for c in cx.edges)
         assert all(c.dimension == 0 for c in cx.vertices)
+
+
+def test_enumerate_completes_a_partial_index():
+    # a lookup walks one class only; enumeration must still find them all
+    # (2520 is the count the raw orbit search gives)
+    canonical_class(polygon(7, (1, 2, 3, 4, 5, 6, 7), [(0, 2)]))
+    assert len(enumerate_cells(7, 1)) == 2520

@@ -226,3 +226,17 @@ def test_export_deterministic_across_processes(tmp_path):
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_verify_all_same_under_optimize(tmp_path):
+    # no result may rest on an assert, which -O strips
+    reports = []
+    for flags in ([], ["-O"]):
+        out = tmp_path / f"report{len(reports)}.json"
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "bringcover.cli", "verify-all",
+             "--json", str(out)],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
