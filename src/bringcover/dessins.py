@@ -242,19 +242,24 @@ class IsoMap:
         )
 
 
-def _extend_from_anchor(src: Dessin, dst: Dessin, target: int):
-    """Deterministic extension of dart 0 -> target along sigma words;
-    None when it collides."""
-    d = src.n_darts
-    h = [-1] * d
-    h[0] = target
-    stack = [0]
-    pairs = (
+def _rotation_pairs(src: Dessin, dst: Dessin):
+    """The four (src, dst) rotations an isomorphism must intertwine:
+    sigma0, sigma1 and their inverses.  Computed once per search."""
+    return (
         (src.sigma0, dst.sigma0),
         (src.sigma1, dst.sigma1),
         (inverse(src.sigma0), inverse(dst.sigma0)),
         (inverse(src.sigma1), inverse(dst.sigma1)),
     )
+
+
+def _extend_from_anchor(pairs, target: int):
+    """Deterministic extension of dart 0 -> target along sigma words;
+    None when it collides.  ``pairs`` comes from :func:`_rotation_pairs`."""
+    d = len(pairs[0][0])
+    h = [-1] * d
+    h[0] = target
+    stack = [0]
     while stack:
         x = stack.pop()
         for ps, pd in pairs:
@@ -282,8 +287,9 @@ def isomorphic(a: Dessin, b: Dessin) -> IsoMap | None:
         return None
     if a.passport() != b.passport():
         return None
+    pairs = _rotation_pairs(a, b)
     for target in range(b.n_darts):
-        h = _extend_from_anchor(a, b, target)
+        h = _extend_from_anchor(pairs, target)
         if h is not None:
             m = IsoMap(h)
             if not m.is_valid(a, b):
@@ -294,19 +300,34 @@ def isomorphic(a: Dessin, b: Dessin) -> IsoMap | None:
 
 def automorphism_group(d: Dessin) -> GroupClosure:
     """All dart bijections commuting with both rotations, as a group of
-    permutations of the darts."""
+    permutations of the darts.
+
+    ``maps`` holds the whole group: d is connected, so an automorphism
+    is fixed by the image of dart 0, and every target dart is tried.  So
+    the group is not rebuilt by a closure over all the maps.  A closure
+    over the few maps not yet generated by the ones before them proves
+    that ``maps`` is closed under composition; otherwise a
+    ``RuntimeError`` is raised.  The result equals ``closure(maps)``:
+    every map is a generator and the elements are sorted.
+    """
     if not d.is_connected:
         raise ValueError("automorphisms need a connected dessin")
+    pairs = _rotation_pairs(d, d)
     maps = []
     for target in range(d.n_darts):
-        h = _extend_from_anchor(d, d, target)
+        h = _extend_from_anchor(pairs, target)
         if h is not None:
             maps.append(h)
-    grp = closure(maps)
-    if grp.order != len(maps):
+    gens = []
+    grp = closure(gens)
+    for h in maps:
+        if h not in grp:
+            gens.append(h)
+            grp = closure(gens, cap=len(maps) + 1)
+    if grp.order != len(maps) or set(grp.elements) != set(maps):
         raise RuntimeError(f"{len(maps)} automorphisms close to a group "
                            f"of order {grp.order}")
-    return grp
+    return GroupClosure(generators=tuple(maps), elements=grp.elements)
 
 
 def acts_freely(d: Dessin, grp: GroupClosure) -> bool:

@@ -4,7 +4,11 @@ A permutation of degree n is a tuple of n distinct ints in [0, n): the
 image of each point.  Everything here is immutable and pure; the largest
 group this package ever needs is the symmetric group on 5 points acting
 on itself (order 120), so closure is plain breadth-first multiplication
-with a safety cap and no stabilizer-chain machinery.
+with a safety cap and no stabilizer-chain machinery.  Closure builds the
+small groups given by generators (S_n, presentation witnesses); an
+automorphism group of a dessin is found element by element in
+``dessins.automorphism_group``, which uses closure over a few of those
+elements only to prove that they form a group.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ def compose(p: Perm, q: Perm) -> Perm:
     """(p . q)(x) = p(q(x)); q is applied first."""
     if len(p) != len(q):
         raise ValueError(f"degree mismatch: {len(p)} vs {len(q)}")
-    return tuple(p[q[i]] for i in range(len(p)))
+    return tuple(map(p.__getitem__, q))
 
 
 def inverse(p: Perm) -> Perm:

@@ -1,5 +1,6 @@
 import pytest
 
+from bringcover import dessins, perms, verify
 from bringcover.dessins import (
     Dessin,
     acts_freely,
@@ -8,9 +9,67 @@ from bringcover.dessins import (
     build_icosahedron,
     isomorphic,
 )
-from bringcover.perms import cycle_type, from_cycles, identify_closure, identity
+from bringcover.perms import (
+    closure,
+    cycle_type,
+    from_cycles,
+    identify_closure,
+    identity,
+    inverse,
+    order,
+)
 
 SINGLE_EDGE = Dessin((0,), (0,))
+
+
+def reference_extend(src, dst, target):
+    """Anchor extension with the inverses computed on every call: the
+    reference for the hoisted ``dessins._extend_from_anchor``."""
+    d = src.n_darts
+    h = [-1] * d
+    h[0] = target
+    stack = [0]
+    pairs = (
+        (src.sigma0, dst.sigma0),
+        (src.sigma1, dst.sigma1),
+        (inverse(src.sigma0), inverse(dst.sigma0)),
+        (inverse(src.sigma1), inverse(dst.sigma1)),
+    )
+    while stack:
+        x = stack.pop()
+        for ps, pd in pairs:
+            y = ps[x]
+            img = pd[h[x]]
+            if h[y] == -1:
+                h[y] = img
+                stack.append(y)
+            elif h[y] != img:
+                return None
+    if -1 in h or sorted(h) != list(range(d)):
+        return None
+    return tuple(h)
+
+
+def reference_automorphism_group(d):
+    """The group as the closure of every accepted anchor map, all of
+    them passed as generators."""
+    maps = [h for h in (reference_extend(d, d, t) for t in range(d.n_darts))
+            if h is not None]
+    grp = closure(maps)
+    assert grp.order == len(maps)
+    return grp
+
+
+@pytest.fixture(scope="module")
+def named_dessins():
+    i4 = build_i4()
+    return {
+        "single_edge": SINGLE_EDGE,
+        "icosahedron": build_icosahedron(),
+        "i4": i4,
+        "union": i4.union_with_dual(),
+        "D": verify.Context().dessin_d,
+    }
 
 
 def _assert_iso_invariants(a, b, m):
@@ -255,3 +314,63 @@ def test_cycle_type_of_faces_matches_genus():
     # spot check: 10-gon faces of the union's dual have 5-cycles
     j = build_i4().union_with_dual().dual().recolor()
     assert cycle_type(j.sigma_inf) == tuple([5] * 24)
+
+
+@pytest.mark.parametrize("name", ["single_edge", "icosahedron", "i4",
+                                  "union", "D"])
+def test_automorphism_group_matches_reference(named_dessins, name):
+    d = named_dessins[name]
+    grp = automorphism_group(d)
+    ref = reference_automorphism_group(d)
+    assert grp.elements == ref.elements
+    assert grp.generators == ref.generators
+    assert grp.order == ref.order
+    assert not grp.cap_exceeded
+
+
+@pytest.mark.parametrize("name", ["single_edge", "icosahedron", "i4",
+                                  "union", "D"])
+def test_extend_from_anchor_matches_reference(named_dessins, name):
+    d = named_dessins[name]
+    for src, dst in ((d, d), (d.dual(), d), (d.mirror(), d)):
+        pairs = dessins._rotation_pairs(src, dst)
+        for t in range(d.n_darts):
+            assert dessins._extend_from_anchor(pairs, t) == \
+                reference_extend(src, dst, t)
+
+
+def test_isomorphic_is_first_reference_map():
+    i4 = build_i4()
+    first = next(h for h in (reference_extend(i4.dual(), i4, t)
+                             for t in range(i4.n_darts)) if h is not None)
+    assert isomorphic(i4.dual(), i4).mapping == first
+
+
+def test_automorphism_group_rejects_maps_not_closed(monkeypatch):
+    ico = build_icosahedron()
+    real = dessins._extend_from_anchor
+    pairs = dessins._rotation_pairs(ico, ico)
+    t5 = next(t for t in range(ico.n_darts)
+              if (h := real(pairs, t)) is not None and order(h) == 5)
+    # accept only the identity and one automorphism of order 5
+    monkeypatch.setattr(
+        dessins, "_extend_from_anchor",
+        lambda pairs, target: real(pairs, target) if target in (0, t5)
+        else None)
+    with pytest.raises(RuntimeError):
+        automorphism_group(ico)
+
+
+def test_automorphism_group_does_not_reclose_all_maps(monkeypatch):
+    union = build_i4().union_with_dual()
+    real = perms.compose
+    calls = [0]
+
+    def counting_compose(p, q):
+        calls[0] += 1
+        return real(p, q)
+
+    monkeypatch.setattr(perms, "compose", counting_compose)
+    monkeypatch.setattr(dessins, "compose", counting_compose)
+    assert automorphism_group(union).order == 120
+    assert 0 < calls[0] < 2000

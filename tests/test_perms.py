@@ -3,6 +3,8 @@ from itertools import permutations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bringcover.perms import (
     closure,
@@ -41,6 +43,21 @@ def test_compose_direct_evaluation():
 def test_compose_degree_mismatch():
     with pytest.raises(ValueError):
         compose(identity(3), identity(4))
+
+
+@st.composite
+def perm_pairs(draw):
+    n = draw(st.integers(min_value=1, max_value=130))
+    p = draw(st.permutations(range(n)))
+    q = draw(st.permutations(range(n)))
+    return tuple(p), tuple(q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(perm_pairs())
+def test_compose_matches_definition(pq):
+    p, q = pq
+    assert compose(p, q) == tuple(p[q[i]] for i in range(len(p)))
 
 
 def test_inverse():
