@@ -225,10 +225,11 @@ def _witness(group: GroupClosure, orders, relators) -> bool:
     the same order they are isomorphic.
     """
     e = identity(len(group.elements[0]))
-    xs = [g for g in group.elements if order(g) == orders[0]]
-    ys = [g for g in group.elements if order(g) == orders[1]]
-    for x in xs:
-        for y in ys:
+    by_order = {}
+    for g in group.elements:
+        by_order.setdefault(order(g), []).append(g)
+    for x in by_order.get(orders[0], ()):
+        for y in by_order.get(orders[1], ()):
             if all(rel(x, y) == e for rel in relators) and \
                     closure([x, y], cap=group.order + 1).order == group.order:
                 return True

@@ -1,4 +1,4 @@
-"""Loop contours in the t-plane and certified monodromy of one loop.
+"""Loop contours in the t-plane and the root permutation of one loop.
 
 The value plane has punctures 0, 1 and infinity.  Loops are based at a
 real point between 0 and 1: the finite loops walk along the real axis to
@@ -12,7 +12,10 @@ permutation.
 The continuation loop (:func:`track_path`) is the package's one tracking
 kernel, in plain Python: it continues the fourth-root branch b(t) of
 (256/3125)(1-t)/t and the five roots of x^5 + x + b(t) along the
-waypoints, halving any step that fails certification.
+waypoints.  A step is accepted when Newton converges and every new root
+is ``tol_match_ratio`` times nearer its own old root than any other old
+root (a nearest/next-nearest ratio test, not a certificate); otherwise it
+is halved.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ _NEWTON_CAP = 60
 
 
 class TrackingError(RuntimeError):
-    """Continuation could not be certified at the configured resolution."""
+    """A step kept failing the ratio test past the halving depth or the
+    step budget, or the end of the loop could not be matched to its start."""
 
 
 @dataclass(frozen=True)
@@ -42,7 +46,7 @@ class TrackingConfig:
     tol_residual: float = 1e-10
     tol_match_ratio: float = 3.0
     tol_lambda: float = 1e-8
-    # a loop may spend at most budget_factor * (waypoint count) certified
+    # a loop may spend at most budget_factor * (waypoint count) committed
     # steps; halvings beyond that mean the requested resolution is too
     # coarse and the loop fails rather than silently degrading
     max_depth: int = 40
@@ -98,12 +102,10 @@ def contour(spec: LoopSpec) -> list:
 
     theta0 = math.atan2((entry - center).imag, (entry - center).real)
     sign = 1.0 if spec.direction == "ccw" else -1.0
-    circle = [
-        center + abs(entry - center)
-        * complex(math.cos(theta0 + sign * 2 * math.pi * k / spec.steps),
-                  math.sin(theta0 + sign * 2 * math.pi * k / spec.steps))
-        for k in range(1, spec.steps + 1)
-    ]
+    angles = (theta0 + sign * 2 * math.pi * k / spec.steps
+              for k in range(1, spec.steps + 1))
+    circle = [center + abs(entry - center) * complex(math.cos(a), math.sin(a))
+              for a in angles]
     return tail + circle + tail[-2::-1]
 
 
@@ -115,6 +117,8 @@ class TrackResult:
     max_residual: float
     min_separation: float
     steps_used: int
+    waypoints: int            # len(contour) - 1: steps_used without halving
+    max_halving_depth: int    # deepest halving level that committed a step
 
     def diagnostics(self) -> dict:
         return {
@@ -123,6 +127,8 @@ class TrackResult:
             "max_residual": self.max_residual,
             "min_separation": self.min_separation,
             "steps_used": self.steps_used,
+            "waypoints": self.waypoints,
+            "max_halving_depth": self.max_halving_depth,
         }
 
 
@@ -131,26 +137,32 @@ def _quintic_roots_newton(xs, b, tol):
     out = []
     worst = 0.0
     scale = 1.0 + abs(b)
+    lim = tol * scale
     for x in xs:
-        converged = False
         for _ in range(_NEWTON_CAP):
             x2 = x * x
             x4 = x2 * x2
             f = x4 * x + x + b
-            if abs(f) <= tol * scale:
-                converged = True
+            if abs(f) <= lim:
                 break
             x = x - f / (5 * x4 + 1)
-        if not converged:
+        else:
             return None, 0.0
-        worst = max(worst, abs(x * x * x * x * x + x + b) / scale)
+        residual = abs(x * x * x * x * x + x + b) / scale
+        if residual > worst:
+            worst = residual
         out.append(x)
     return out, worst
 
 
 def _try_step(t_target, b_cur, xs_cur, tol, ratio):
-    """One certified step; returns (b_new, xs_new, residual, separation)
-    or None when the step must be halved."""
+    """One step of the ratio test; returns (b_new, xs_new, residual,
+    separation) or None when the step must be halved.
+
+    The branch b moves to the fourth root of w(t) nearest its old value,
+    Newton polishes the old roots against it, and each new root must be
+    ``ratio`` times nearer its own old root than any other old root.
+    """
     w = _C * (1 - t_target) / t_target
     principal = w ** 0.25
     b_new = principal
@@ -168,23 +180,40 @@ def _try_step(t_target, b_cur, xs_cur, tol, ratio):
     if xs_new is None:
         return None
 
-    separation = min(
-        abs(xs_new[i] - xs_new[j]) for i in range(5) for j in range(i + 1, 5)
-    )
-    for i in range(5):
-        d_self = abs(xs_new[i] - xs_cur[i])
-        d_other = min(abs(xs_new[j] - xs_cur[i]) for j in range(5) if j != i)
-        if d_self * ratio > d_other:
-            return None
+    y0, y1, y2, y3, y4 = xs_new
+    c0, c1, c2, c3, c4 = xs_cur
+    if abs(y0 - c0) * ratio > min(abs(y1 - c0), abs(y2 - c0),
+                                  abs(y3 - c0), abs(y4 - c0)):
+        return None
+    if abs(y1 - c1) * ratio > min(abs(y0 - c1), abs(y2 - c1),
+                                  abs(y3 - c1), abs(y4 - c1)):
+        return None
+    if abs(y2 - c2) * ratio > min(abs(y0 - c2), abs(y1 - c2),
+                                  abs(y3 - c2), abs(y4 - c2)):
+        return None
+    if abs(y3 - c3) * ratio > min(abs(y0 - c3), abs(y1 - c3),
+                                  abs(y2 - c3), abs(y4 - c3)):
+        return None
+    if abs(y4 - c4) * ratio > min(abs(y0 - c4), abs(y1 - c4),
+                                  abs(y2 - c4), abs(y3 - c4)):
+        return None
+    separation = min(abs(y0 - y1), abs(y0 - y2), abs(y0 - y3), abs(y0 - y4),
+                     abs(y1 - y2), abs(y1 - y3), abs(y1 - y4),
+                     abs(y2 - y3), abs(y2 - y4), abs(y3 - y4))
     return b_new, xs_new, residual, separation
 
 
 def track_path(ts, b0, xs0, tol_residual, match_ratio, max_depth, budget):
     """Track the branch and roots along the waypoints ``ts``.
 
-    Returns (b_end, xs_end, max_residual, min_separation, steps_used).
-    Raises :class:`TrackingError` once a segment needs halving deeper than
+    Returns (b_end, xs_end, max_residual, min_separation, steps_used,
+    max_halving_depth); the last is the deepest halving level at which a
+    step was committed (0 when no step was halved).  Raises
+    :class:`TrackingError` once a segment needs halving deeper than
     ``max_depth`` or more than ``budget`` committed steps in total.
+
+    A failed step pushes its target and then its midpoint onto the
+    waypoint's stack, so the midpoint is tracked first, depth first.
     """
     b_cur = complex(b0)
     xs_cur = [complex(x) for x in xs0]
@@ -192,32 +221,35 @@ def track_path(ts, b0, xs0, tol_residual, match_ratio, max_depth, budget):
     max_residual = 0.0
     min_separation = float("inf")
     steps_used = 0
-
-    def advance(t_target, depth):
-        nonlocal b_cur, xs_cur, t_cur, max_residual, min_separation, steps_used
-        result = _try_step(t_target, b_cur, xs_cur, tol_residual, match_ratio)
-        if result is None:
-            if depth >= max_depth:
-                raise TrackingError(
-                    "collision floor breached: segment halved "
-                    f"{max_depth} times near t={t_target}")
-            t_mid = 0.5 * (t_cur + t_target)
-            advance(t_mid, depth + 1)
-            advance(t_target, depth + 1)
-            return
-        steps_used += 1
-        if steps_used > budget:
-            raise TrackingError(
-                f"resolution budget exhausted ({budget} steps): "
-                "the loop needs finer sampling, increase steps")
-        b_cur, xs_cur, residual, separation = result
-        t_cur = t_target
-        max_residual = max(max_residual, residual)
-        min_separation = min(min_separation, separation)
+    max_halving_depth = 0
 
     for k in range(1, len(ts)):
-        advance(complex(ts[k]), 0)
-    return b_cur, tuple(xs_cur), max_residual, min_separation, steps_used
+        stack = [(complex(ts[k]), 0)]
+        while stack:
+            t_target, depth = stack.pop()
+            result = _try_step(t_target, b_cur, xs_cur, tol_residual,
+                               match_ratio)
+            if result is None:
+                if depth >= max_depth:
+                    raise TrackingError(
+                        "collision floor breached: segment halved "
+                        f"{max_depth} times near t={t_target}")
+                stack.append((t_target, depth + 1))
+                stack.append((0.5 * (t_cur + t_target), depth + 1))
+                continue
+            steps_used += 1
+            if steps_used > budget:
+                raise TrackingError(
+                    f"resolution budget exhausted ({budget} steps): "
+                    "the loop needs finer sampling, increase steps")
+            b_cur, xs_cur, residual, separation = result
+            t_cur = t_target
+            max_residual = max(max_residual, residual)
+            min_separation = min(min_separation, separation)
+            if depth > max_halving_depth:
+                max_halving_depth = depth
+    return (b_cur, tuple(xs_cur), max_residual, min_separation, steps_used,
+            max_halving_depth)
 
 
 def track_loop(spec: LoopSpec, cfg: TrackingConfig) -> TrackResult:
@@ -226,7 +258,7 @@ def track_loop(spec: LoopSpec, cfg: TrackingConfig) -> TrackResult:
     xs0 = roots5(1.0, b0, tol=cfg.tol_residual)
     ts = contour(spec)
     budget = int(cfg.budget_factor * (len(ts) - 1))
-    b_end, xs_end, max_residual, min_sep, steps_used = track_path(
+    b_end, xs_end, max_residual, min_sep, steps_used, depth = track_path(
         ts, b0, xs0, cfg.tol_residual, cfg.tol_match_ratio,
         cfg.max_depth, budget)
 
@@ -256,4 +288,6 @@ def track_loop(spec: LoopSpec, cfg: TrackingConfig) -> TrackResult:
         max_residual=max_residual,
         min_separation=min_sep,
         steps_used=steps_used,
+        waypoints=len(ts) - 1,
+        max_halving_depth=depth,
     )

@@ -1,15 +1,22 @@
 import cmath
 import dataclasses
+import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bringcover.monodromy import monodromy_triple, sheet_constellation
 from bringcover.perms import cycle_type, identity, inverse
 from bringcover.quintic import b_from_t, roots5
 from bringcover.tracking import (
+    _C,
+    _I_POWERS,
+    _NEWTON_CAP,
     LoopSpec,
     TrackingConfig,
     TrackingError,
+    _try_step,
     contour,
     loop_spec,
     track_loop,
@@ -17,6 +24,122 @@ from bringcover.tracking import (
 )
 
 CFG = TrackingConfig(steps=512)
+
+
+# ------------------------------------------------------------ reference
+# The kernel as first written: generator expressions for the distances,
+# a recursive halving closure, each circle angle computed twice.  The
+# unrolled kernel in tracking.py must return the same bits.
+
+def reference_circle(spec):
+    t0 = complex(spec.base_t)
+    if spec.puncture == "inf":
+        center = 0j
+        entry = complex(t0.real, math.sqrt(spec.radius**2 - t0.real**2))
+    else:
+        center = complex(spec.puncture)
+        entry = center + spec.radius * (t0 - center) / abs(t0 - center)
+    theta0 = math.atan2((entry - center).imag, (entry - center).real)
+    sign = 1.0 if spec.direction == "ccw" else -1.0
+    return [
+        center + abs(entry - center)
+        * complex(math.cos(theta0 + sign * 2 * math.pi * k / spec.steps),
+                  math.sin(theta0 + sign * 2 * math.pi * k / spec.steps))
+        for k in range(1, spec.steps + 1)
+    ]
+
+
+def reference_newton(xs, b, tol):
+    out = []
+    worst = 0.0
+    scale = 1.0 + abs(b)
+    for x in xs:
+        converged = False
+        for _ in range(_NEWTON_CAP):
+            x2 = x * x
+            x4 = x2 * x2
+            f = x4 * x + x + b
+            if abs(f) <= tol * scale:
+                converged = True
+                break
+            x = x - f / (5 * x4 + 1)
+        if not converged:
+            return None, 0.0
+        worst = max(worst, abs(x * x * x * x * x + x + b) / scale)
+        out.append(x)
+    return out, worst
+
+
+def reference_try_step(t_target, b_cur, xs_cur, tol, ratio):
+    w = _C * (1 - t_target) / t_target
+    principal = w ** 0.25
+    b_new = principal
+    best = abs(principal - b_cur)
+    for p in _I_POWERS[1:]:
+        cand = principal * p
+        d = abs(cand - b_cur)
+        if d < best:
+            best = d
+            b_new = cand
+    if best > 0.4 * abs(b_new):
+        return None
+    xs_new, residual = reference_newton(xs_cur, b_new, tol)
+    if xs_new is None:
+        return None
+    separation = min(
+        abs(xs_new[i] - xs_new[j]) for i in range(5) for j in range(i + 1, 5)
+    )
+    for i in range(5):
+        d_self = abs(xs_new[i] - xs_cur[i])
+        d_other = min(abs(xs_new[j] - xs_cur[i]) for j in range(5) if j != i)
+        if d_self * ratio > d_other:
+            return None
+    return b_new, xs_new, residual, separation
+
+
+def reference_track_path(ts, b0, xs0, tol_residual, match_ratio, max_depth,
+                         budget):
+    b_cur = complex(b0)
+    xs_cur = [complex(x) for x in xs0]
+    t_cur = complex(ts[0])
+    max_residual = 0.0
+    min_separation = float("inf")
+    steps_used = 0
+
+    def advance(t_target, depth):
+        nonlocal b_cur, xs_cur, t_cur, max_residual, min_separation, steps_used
+        result = reference_try_step(t_target, b_cur, xs_cur, tol_residual,
+                                    match_ratio)
+        if result is None:
+            if depth >= max_depth:
+                raise TrackingError(
+                    "collision floor breached: segment halved "
+                    f"{max_depth} times near t={t_target}")
+            t_mid = 0.5 * (t_cur + t_target)
+            advance(t_mid, depth + 1)
+            advance(t_target, depth + 1)
+            return
+        steps_used += 1
+        if steps_used > budget:
+            raise TrackingError(
+                f"resolution budget exhausted ({budget} steps): "
+                "the loop needs finer sampling, increase steps")
+        b_cur, xs_cur, residual, separation = result
+        t_cur = t_target
+        max_residual = max(max_residual, residual)
+        min_separation = min(min_separation, separation)
+
+    for k in range(1, len(ts)):
+        advance(complex(ts[k]), 0)
+    return b_cur, tuple(xs_cur), max_residual, min_separation, steps_used
+
+
+def _outcome(fn, *args):
+    """The return value, or the message of the TrackingError raised."""
+    try:
+        return fn(*args)
+    except TrackingError as exc:
+        return f"TrackingError: {exc}"
 
 
 @pytest.fixture(scope="module")
@@ -187,3 +310,82 @@ def test_kernel_collision_floor():
     xs0 = roots5(1.0, b0)
     with pytest.raises(TrackingError, match="collision floor"):
         track_path(ts, b0, xs0, 1e-10, 3.0, 20, budget=10**9)
+
+
+@pytest.mark.parametrize("steps", [4, 7, 64, 1000, 1024, 4096])
+@pytest.mark.parametrize("direction", ["ccw", "cw"])
+@pytest.mark.parametrize("puncture", [0, 1, "inf"])
+def test_contour_circle_matches_reference(puncture, direction, steps):
+    for base_t in (0.5, 0.37):
+        spec = dataclasses.replace(loop_spec(CFG, puncture), steps=steps,
+                                   base_t=complex(base_t),
+                                   direction=direction)
+        ts = contour(spec)
+        n_tail = max(8, steps // 8)
+        assert ts[n_tail + 1:n_tail + 1 + steps] == reference_circle(spec)
+
+
+def test_diagnostics_without_halving():
+    for res in monodromy_triple(TrackingConfig()).loops.values():
+        diag = res.diagnostics()
+        assert diag["max_halving_depth"] == 0
+        assert diag["steps_used"] == diag["waypoints"]
+        assert res.waypoints == 1024 + 2 * (1024 // 8)
+
+
+def test_diagnostics_report_halving():
+    res = monodromy_triple(TrackingConfig(steps=64)).loops["inf"]
+    assert res.max_halving_depth >= 1
+    assert res.steps_used > res.waypoints
+
+
+@settings(max_examples=40, deadline=None)
+@given(puncture=st.sampled_from([0, 1, "inf"]),
+       direction=st.sampled_from(["ccw", "cw"]),
+       base_t=st.floats(0.3, 0.7),
+       branch=st.integers(0, 3),
+       radius_factor=st.floats(0.7, 1.3),
+       ratio=st.floats(2.0, 5.0),
+       steps=st.sampled_from([8, 16, 32, 48, 64, 256]),
+       max_depth=st.sampled_from([1, 2, 3, 40]))
+def test_track_path_matches_reference(puncture, direction, base_t, branch,
+                                      radius_factor, ratio, steps, max_depth):
+    # coarse steps halve, and exhaust the budget; a shallow max_depth
+    # reaches the collision floor
+    cfg = TrackingConfig(base_t=base_t, branch=branch, steps=steps,
+                         radius0=0.25 * radius_factor,
+                         radius1=0.25 * radius_factor,
+                         radius_inf=8.0 * radius_factor,
+                         tol_match_ratio=ratio)
+    spec = dataclasses.replace(loop_spec(cfg, puncture), direction=direction)
+    try:
+        ts = contour(spec)
+    except ValueError:
+        assume(False)
+    b0 = b_from_t(complex(base_t), branch)
+    xs0 = roots5(1.0, b0, tol=cfg.tol_residual)
+    budget = int(cfg.budget_factor * (len(ts) - 1))
+    args = (ts, b0, xs0, cfg.tol_residual, ratio, max_depth, budget)
+    got = _outcome(track_path, *args)
+    want = _outcome(reference_track_path, *args)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got[:5] == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(t_re=st.floats(-1.5, 2.5), t_im=st.floats(-1.5, 1.5),
+       branch=st.integers(0, 3),
+       step=st.complex_numbers(max_magnitude=1.5),
+       ratio=st.floats(2.0, 5.0),
+       tol=st.sampled_from([1e-10, 1e-14, 0.0]))
+def test_try_step_matches_reference(t_re, t_im, branch, step, ratio, tol):
+    # long steps fail the branch or the match test; tol=0 stalls Newton
+    t_cur = complex(t_re, t_im)
+    t_target = t_cur + step
+    assume(min(abs(t_cur), abs(t_target), abs(t_cur - 1)) > 1e-3)
+    b_cur = b_from_t(t_cur, branch)
+    xs_cur = list(roots5(1.0, b_cur))
+    args = (t_target, b_cur, xs_cur, tol, ratio)
+    assert _try_step(*args) == reference_try_step(*args)
