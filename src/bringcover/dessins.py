@@ -183,6 +183,8 @@ class Dessin:
 
     @staticmethod
     def from_text(text: str) -> "Dessin":
+        """Inverse of :meth:`to_text`, the format of the dessins in the
+        CLI's ``--json`` payloads; kept as API for reading them back."""
         lines = [ln.strip() for ln in text.strip().splitlines()]
         if len(lines) != 3:
             raise ValueError("dessin text needs exactly 3 lines")

@@ -257,13 +257,6 @@ def identify_closure(grp: GroupClosure) -> str:
     return f"Other({grp.order})"
 
 
-def random_perm(n: int, rng) -> Perm:
-    """Uniform permutation from a ``random.Random`` instance."""
-    images = list(range(n))
-    rng.shuffle(images)
-    return tuple(images)
-
-
 def symmetric_group(n: int) -> GroupClosure:
     """S_n in canonical element order (used for sheet bookkeeping, n <= 5)."""
     if n < 1:

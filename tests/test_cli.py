@@ -240,3 +240,16 @@ def test_verify_all_same_under_optimize(tmp_path):
         assert proc.returncode == 0, proc.stderr
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_verify_all_imports_no_numpy():
+    # the package has no runtime dependency: a cold run of every check
+    # must not pull numpy in
+    code = ("import sys\n"
+            "from bringcover import verify\n"
+            "verify.run_checks()\n"
+            "print('numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

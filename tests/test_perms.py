@@ -17,13 +17,19 @@ from bringcover.perms import (
     inverse,
     order,
     parse_cycle_string,
-    random_perm,
     regular_representation,
     symmetric_group,
 )
 
 C5 = from_cycles(5, [(0, 1, 2, 3, 4)])
 T5 = from_cycles(5, [(0, 1)])
+
+
+def random_perm(n, rng):
+    """Uniform permutation from a ``random.Random`` instance."""
+    images = list(range(n))
+    rng.shuffle(images)
+    return tuple(images)
 
 
 def test_compose_identity():

@@ -1,8 +1,12 @@
 import cmath
+import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from bringcover import quintic
 from bringcover.quintic import (
     INF,
     b_from_t,
@@ -14,10 +18,10 @@ from bringcover.quintic import (
 
 
 def test_roots5_fifth_roots_of_unity():
-    # x^5 - 1 = 0
+    # x^5 - 1 = 0: real parts cos(4pi/5) < cos(2pi/5) < 1, each conjugate
+    # pair upper root first
     roots = roots5(0, -1)
-    expected = sorted((cmath.exp(2j * cmath.pi * k / 5) for k in range(5)),
-                      key=lambda z: (z.real, z.imag))
+    expected = [cmath.exp(2j * cmath.pi * k / 5) for k in (2, 3, 1, 4, 0)]
     for got, want in zip(roots, expected):
         assert abs(got - want) < 1e-12
 
@@ -41,10 +45,93 @@ def test_roots5_residuals_random():
             assert abs(x**5 + a * x + b) < 1e-10 * (1 + abs(a) + abs(b))
 
 
+def test_roots5_double_root():
+    # x^5 - 5x + 4 = (x - 1)^2 (x^3 + 2x^2 + 3x + 4): Aberth converges only
+    # linearly onto the double root, and f' vanishes there
+    roots = roots5(-5, 4)
+    for x in roots:
+        assert abs(x**5 - 5 * x + 4) < 1e-10 * 10
+    assert sum(abs(x - 1) < 1e-6 for x in roots) == 2
+    for x in roots:
+        if abs(x - 1) >= 1e-6:
+            assert abs(x**3 + 2 * x**2 + 3 * x + 4) < 1e-10
+
+
 def test_roots5_deterministic_order():
     assert roots5(1.5, 0.25) == roots5(1.5, 0.25)
     roots = roots5(1.5, 0.25)
-    assert roots == tuple(sorted(roots, key=lambda z: (z.real, z.imag)))
+    # the documented order: real part on a 1e-9 * scale grid, then -imag
+    grid = 1e-9 * (1 + 1.5 + 0.25)
+    assert roots == tuple(sorted(
+        roots, key=lambda z: (round(z.real / grid), -z.imag)))
+
+
+def _nudge(v: float, ulps: int) -> float:
+    toward = math.inf if ulps > 0 else -math.inf
+    for _ in range(abs(ulps)):
+        v = math.nextafter(v, toward)
+    return v
+
+
+_coeff = st.floats(-3, 3, allow_subnormal=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_coeff, _coeff, _coeff, _coeff, st.booleans(),
+       st.randoms(use_true_random=False))
+def test_labels_survive_last_bit_noise(ar, ai, br, bi, real, rng):
+    # a conjugate pair of a real quintic has real parts that agree up to
+    # rounding; moving every root by a few ulp must not relabel any root
+    a, b = (complex(ar), complex(br)) if real else (complex(ar, ai),
+                                                    complex(br, bi))
+    scale = 1 + abs(a) + abs(b)
+    roots = roots5(a, b)
+    assume(min(abs(x - y) for i, x in enumerate(roots)
+               for y in roots[i + 1:]) > 1e-6 * scale)
+    noisy = [complex(_nudge(z.real, rng.randint(-4, 4)),
+                     _nudge(z.imag, rng.randint(-4, 4))) for z in roots]
+    label = {z: i for i, z in enumerate(noisy)}
+    rng.shuffle(noisy)
+    assert [label[z] for z in quintic._label_order(noisy, scale)] == \
+        list(range(5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.complex_numbers(min_magnitude=1e-3, max_magnitude=10,
+                          allow_nan=False, allow_infinity=False))
+def test_roots5_on_double_roots_never_divides_by_zero(r):
+    # (x - r)^2 divides x^5 - 5 r^4 x + 4 r^5, and f' vanishes at r
+    a, b = -5 * r**4, 4 * r**5
+    try:
+        roots = roots5(a, b)
+    except ArithmeticError as exc:
+        assert not isinstance(exc, ZeroDivisionError)
+        return
+    for x in roots:
+        assert abs(x**5 + a * x + b) <= 1e-12 * (1 + abs(a) + abs(b))
+
+
+@pytest.mark.parametrize("a, b, tol", [
+    (1.5, 0.25, 1e-30),         # converged, but no float root meets this
+    (float("nan"), 1.0, 1e-12),
+])
+def test_roots5_residual_rule_raises(a, b, tol):
+    with pytest.raises(ArithmeticError, match="residual"):
+        roots5(a, b, tol=tol)
+
+
+@pytest.mark.parametrize("seeds, a, b", [
+    # coinciding iterates: 1 / (x - y) with x == y
+    ((1, 1, 1, 1, 1), 1, 1),
+    # an iterate at the critical point 0 of x^5 - 1, where f' = 0 and the
+    # other iterates' reciprocal distances cancel: the step divides by 0
+    ((0, 1, -1, 1j, -1j), 0, -1),
+])
+def test_roots5_zero_divisor_raises_arithmetic_error(monkeypatch, seeds, a, b):
+    monkeypatch.setattr(quintic, "_SEEDS", seeds)
+    with pytest.raises(ArithmeticError) as info:
+        roots5(a, b)
+    assert info.type is ArithmeticError
 
 
 def test_f_value_examples():
