@@ -54,7 +54,11 @@ def _add_tracking_flags(p):
 def _config_from(args) -> TrackingConfig:
     overrides = {k: getattr(args, k) for k in _TRACKING_FLAGS
                  if getattr(args, k) is not None}
-    return replace(TrackingConfig(), **overrides)
+    try:
+        return replace(TrackingConfig(), **overrides)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 def _write(path, text: str) -> None:

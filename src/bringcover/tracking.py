@@ -16,6 +16,12 @@ waypoints.  A step is accepted when Newton converges and every new root
 is ``tol_match_ratio`` times nearer its own old root than any other old
 root (a nearest/next-nearest ratio test, not a certificate); otherwise it
 is halved.
+
+The separation s of the new roots, which the diagnostics need anyway,
+decides that test whenever every root moved at most s / (2 (ratio + 1)):
+the distance from an old root c_i to another new root y_j is at least
+s - |y_i - c_i|, which is then at least ratio * |y_i - c_i|.  The 20
+cross distances are computed only for a step the bound does not decide.
 """
 
 from __future__ import annotations
@@ -27,7 +33,9 @@ from .quintic import b_from_t, roots5
 
 _C = 256.0 / 3125.0
 _I_POWERS = (1 + 0j, 1j, -1 - 0j, -1j)
+_I_TURNS = _I_POWERS[1:]
 _NEWTON_CAP = 60
+_NEWTON_ITERS = range(_NEWTON_CAP)    # reused: no range() per root
 
 
 class TrackingError(RuntimeError):
@@ -52,6 +60,14 @@ class TrackingConfig:
     max_depth: int = 40
     budget_factor: float = 1.05
     seed: int = 0
+
+    def __post_init__(self):
+        # a nan ratio makes every comparison of the test false, and a ratio
+        # below 1 accepts a root nearer another old root than its own
+        if not (math.isfinite(self.tol_match_ratio)
+                and self.tol_match_ratio >= 1):
+            raise ValueError("tol_match_ratio must be a finite number >= 1, "
+                             f"got {self.tol_match_ratio!r}")
 
     def with_steps(self, steps: int) -> "TrackingConfig":
         return replace(self, steps=steps)
@@ -88,6 +104,8 @@ def contour(spec: LoopSpec) -> list:
     if spec.puncture == "inf":
         if abs(t0) >= spec.radius:
             raise ValueError("infinity loop must enclose the base point")
+        if spec.radius <= 1:
+            raise ValueError("infinity loop must enclose both finite punctures")
         center = 0j
         entry = complex(t0.real,
                         math.sqrt(spec.radius**2 - t0.real**2))
@@ -132,74 +150,84 @@ class TrackResult:
         }
 
 
-def _quintic_roots_newton(xs, b, tol):
-    """Polish the 5 seeds against x^5 + x + b; None when any seed stalls."""
-    out = []
-    worst = 0.0
-    scale = 1.0 + abs(b)
-    lim = tol * scale
-    for x in xs:
-        for _ in range(_NEWTON_CAP):
-            x2 = x * x
-            x4 = x2 * x2
-            f = x4 * x + x + b
-            if abs(f) <= lim:
-                break
-            x = x - f / (5 * x4 + 1)
-        else:
-            return None, 0.0
-        residual = abs(x * x * x * x * x + x + b) / scale
-        if residual > worst:
-            worst = residual
-        out.append(x)
-    return out, worst
-
-
 def _try_step(t_target, b_cur, xs_cur, tol, ratio):
     """One step of the ratio test; returns (b_new, xs_new, residual,
     separation) or None when the step must be halved.
 
     The branch b moves to the fourth root of w(t) nearest its old value,
-    Newton polishes the old roots against it, and each new root must be
-    ``ratio`` times nearer its own old root than any other old root.
+    Newton polishes the old roots c_i against it, and each new root y_i
+    must be ``ratio`` times nearer its own old root than any other old
+    root: d_i * ratio <= |y_j - c_i| for j != i, with d_i = |y_i - c_i|.
+
+    The separation s = min |y_i - y_j| decides that test whenever
+    (ratio + 1) * max d_i <= s / 2.  Proof: |y_j - c_i| >= |y_j - y_i| -
+    d_i >= s - d_i >= ratio * d_i.  The factor 1/2 leaves a margin of s/2
+    over the few-ulp rounding of the computed distances, so the step is
+    accepted exactly when the 20-distance test, run only when the bound
+    fails, would accept it.
     """
     w = _C * (1 - t_target) / t_target
     principal = w ** 0.25
     b_new = principal
     best = abs(principal - b_cur)
-    for p in _I_POWERS[1:]:
+    for p in _I_TURNS:
         cand = principal * p
         d = abs(cand - b_cur)
         if d < best:
             best = d
             b_new = cand
-    if best > 0.4 * abs(b_new):
+    b_abs = abs(b_new)
+    if best > 0.4 * b_abs:
         return None
 
-    xs_new, residual = _quintic_roots_newton(xs_cur, b_new, tol)
-    if xs_new is None:
-        return None
+    # Newton on x^5 + x + b_new from each old root; a stalled root halves
+    scale = 1.0 + b_abs
+    lim = tol * scale
+    xs_new = []
+    residual = 0.0
+    for x in xs_cur:
+        for _ in _NEWTON_ITERS:
+            x2 = x * x
+            x4 = x2 * x2
+            f = x4 * x + x + b_new
+            if abs(f) <= lim:
+                break
+            x = x - f / (5 * x4 + 1)
+        else:
+            return None
+        # evaluated afresh, not abs(f): these bits are the reported residual
+        r = abs(x * x * x * x * x + x + b_new) / scale
+        if r > residual:
+            residual = r
+        xs_new.append(x)
 
     y0, y1, y2, y3, y4 = xs_new
     c0, c1, c2, c3, c4 = xs_cur
-    if abs(y0 - c0) * ratio > min(abs(y1 - c0), abs(y2 - c0),
-                                  abs(y3 - c0), abs(y4 - c0)):
-        return None
-    if abs(y1 - c1) * ratio > min(abs(y0 - c1), abs(y2 - c1),
-                                  abs(y3 - c1), abs(y4 - c1)):
-        return None
-    if abs(y2 - c2) * ratio > min(abs(y0 - c2), abs(y1 - c2),
-                                  abs(y3 - c2), abs(y4 - c2)):
-        return None
-    if abs(y3 - c3) * ratio > min(abs(y0 - c3), abs(y1 - c3),
-                                  abs(y2 - c3), abs(y4 - c3)):
-        return None
-    if abs(y4 - c4) * ratio > min(abs(y0 - c4), abs(y1 - c4),
-                                  abs(y2 - c4), abs(y3 - c4)):
-        return None
+    d0 = abs(y0 - c0)
+    d1 = abs(y1 - c1)
+    d2 = abs(y2 - c2)
+    d3 = abs(y3 - c3)
+    d4 = abs(y4 - c4)
     separation = min(abs(y0 - y1), abs(y0 - y2), abs(y0 - y3), abs(y0 - y4),
                      abs(y1 - y2), abs(y1 - y3), abs(y1 - y4),
                      abs(y2 - y3), abs(y2 - y4), abs(y3 - y4))
+    if (ratio + 1) * max(d0, d1, d2, d3, d4) <= 0.5 * separation:
+        return b_new, xs_new, residual, separation
+    if d0 * ratio > min(abs(y1 - c0), abs(y2 - c0),
+                        abs(y3 - c0), abs(y4 - c0)):
+        return None
+    if d1 * ratio > min(abs(y0 - c1), abs(y2 - c1),
+                        abs(y3 - c1), abs(y4 - c1)):
+        return None
+    if d2 * ratio > min(abs(y0 - c2), abs(y1 - c2),
+                        abs(y3 - c2), abs(y4 - c2)):
+        return None
+    if d3 * ratio > min(abs(y0 - c3), abs(y1 - c3),
+                        abs(y2 - c3), abs(y4 - c3)):
+        return None
+    if d4 * ratio > min(abs(y0 - c4), abs(y1 - c4),
+                        abs(y2 - c4), abs(y3 - c4)):
+        return None
     return b_new, xs_new, residual, separation
 
 
@@ -244,8 +272,10 @@ def track_path(ts, b0, xs0, tol_residual, match_ratio, max_depth, budget):
                     "the loop needs finer sampling, increase steps")
             b_cur, xs_cur, residual, separation = result
             t_cur = t_target
-            max_residual = max(max_residual, residual)
-            min_separation = min(min_separation, separation)
+            if residual > max_residual:
+                max_residual = residual
+            if separation < min_separation:
+                min_separation = separation
             if depth > max_halving_depth:
                 max_halving_depth = depth
     return (b_cur, tuple(xs_cur), max_residual, min_separation, steps_used,

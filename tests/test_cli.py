@@ -209,6 +209,14 @@ def test_usage_error_exits_2(capsys):
         capsys.readouterr()
 
 
+def test_nan_match_ratio_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["monodromy", "--tol-match-ratio", "nan"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "tol_match_ratio" in err
+
+
 def test_console_script():
     proc = subprocess.run(
         [sys.executable, "-m", "bringcover.cli", "--version"],

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bringcover import tracking
 from bringcover.monodromy import monodromy_triple, sheet_constellation
 from bringcover.perms import cycle_type, identity, inverse
 from bringcover.quintic import b_from_t, roots5
@@ -182,6 +183,8 @@ def test_loop_spec_validation():
         contour(LoopSpec(puncture=0, base_t=0.5, radius=0.7, steps=64))
     with pytest.raises(ValueError):
         contour(LoopSpec(puncture="inf", base_t=0.5, radius=0.4, steps=64))
+    with pytest.raises(ValueError, match="both finite punctures"):
+        contour(LoopSpec(puncture="inf", base_t=0.5, radius=0.9, steps=64))
 
 
 def test_loop_around_one_is_4_cycle():
@@ -389,3 +392,82 @@ def test_try_step_matches_reference(t_re, t_im, branch, step, ratio, tol):
     xs_cur = list(roots5(1.0, b_cur))
     args = (t_target, b_cur, xs_cur, tol, ratio)
     assert _try_step(*args) == reference_try_step(*args)
+
+
+@pytest.mark.parametrize("ratio", [math.nan, math.inf, 0.5])
+def test_config_rejects_bad_match_ratio(ratio):
+    # a nan ratio would switch the test off; below 1 it accepts crossings
+    with pytest.raises(ValueError, match="tol_match_ratio"):
+        TrackingConfig(tol_match_ratio=ratio)
+    with pytest.raises(ValueError, match="tol_match_ratio"):
+        dataclasses.replace(CFG, tol_match_ratio=ratio)
+
+
+def _recorded_steps(monkeypatch, cfg):
+    """Every _try_step call of the three loops of ``cfg``, with its result."""
+    calls = []
+    real = tracking._try_step
+
+    def recorder(*args):
+        result = real(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(tracking, "_try_step", recorder)
+    for p in (0, 1, "inf"):
+        track_loop(loop_spec(cfg, p), cfg)
+    monkeypatch.undo()
+    return calls
+
+
+def test_try_step_outcomes_match_reference(monkeypatch):
+    # at 32 steps per circle the default contours take steps the
+    # separation bound accepts, steps only the 20-distance test accepts,
+    # and steps that are halved
+    cfg = TrackingConfig(steps=32)
+    seen = {"bound": 0, "full test": 0, "rejected": 0}
+    for args, result in _recorded_steps(monkeypatch, cfg):
+        assert result == reference_try_step(*args)
+        if result is None:
+            seen["rejected"] += 1
+            continue
+        xs_cur, xs_new, separation = args[2], result[1], result[3]
+        d_max = max(abs(y - c) for y, c in zip(xs_new, xs_cur))
+        if (cfg.tol_match_ratio + 1) * d_max <= 0.5 * separation:
+            seen["bound"] += 1
+        else:
+            seen["full test"] += 1
+    assert all(seen.values()), seen
+
+
+def test_try_step_rejects_between_bound_and_ratio():
+    # one old root moved 0.28 of the way to the root nearest it: Newton
+    # still returns it home, so d = 0.28 s, and the match test must reject
+    # (0.84 s > 0.72 s) although d * ratio <= s and d <= s / 2
+    b = b_from_t(0.5, 0)
+    ys = list(roots5(1.0, b))
+    s, i, j = min((abs(ys[i] - ys[j]), i, j)
+                  for i in range(5) for j in range(5) if i != j)
+    xs = list(ys)
+    xs[i] = ys[i] + 0.28 * (ys[j] - ys[i])
+    polished, _ = reference_newton(xs, b, 1e-10)
+    assert abs(polished[i] - ys[i]) < 1e-9 * s
+    args = (0.5, b, xs, 1e-10, 3.0)
+    assert _try_step(*args) is None
+    assert reference_try_step(*args) is None
+
+
+def test_step_work_guard(monkeypatch):
+    # the separation bound decides every step of a default loop, so a
+    # committed step computes 15 root distances, not 35
+    calls = 0
+
+    def counting_abs(z):
+        nonlocal calls
+        calls += 1
+        return abs(z)
+
+    monkeypatch.setattr(tracking, "abs", counting_abs, raising=False)
+    cfg = TrackingConfig()
+    res = track_loop(loop_spec(cfg, 1), cfg)
+    assert calls <= 45 * res.steps_used, calls / res.steps_used
