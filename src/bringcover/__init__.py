@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .cells import build_complex5, canonical_class, enumerate_cells, refinements, twist
 from .cover import (
-    build_d,
     cover_to_dessin,
     euler_characteristic,
     is_orientable,
@@ -20,7 +19,7 @@ from .dessins import (
     isomorphic,
 )
 from .monodromy import MonodromyTriple, monodromy_triple, sheet_constellation
-from .perms import closure, identify_group, regular_representation
+from .perms import closure, identify_closure, regular_representation
 from .quintic import b_from_t, f_value, roots5, verify_identities
 from .tracking import LoopSpec, TrackingConfig, TrackingError, TrackResult, track_loop
 from .verify import run_checks
@@ -35,7 +34,6 @@ __all__ = [
     "automorphism_group",
     "b_from_t",
     "build_complex5",
-    "build_d",
     "build_i4",
     "build_icosahedron",
     "canonical_class",
@@ -44,7 +42,7 @@ __all__ = [
     "enumerate_cells",
     "euler_characteristic",
     "f_value",
-    "identify_group",
+    "identify_closure",
     "is_orientable",
     "isomorphic",
     "monodromy_triple",

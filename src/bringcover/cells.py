@@ -257,8 +257,6 @@ class CellComplexData:
     vertices: tuple     # CellClass, dimension 0
     face_sides: tuple   # per face: 5 edge ids
     face_corners: tuple  # per face: 5 vertex ids
-    edge_faces: dict    # edge id -> ((f, t), (f, t))
-    edge_vertices: dict  # edge id -> (vertex id, vertex id), distinct
 
 
 def build_complex5() -> CellComplexData:
@@ -273,7 +271,6 @@ def build_complex5() -> CellComplexData:
 
     face_sides = []
     face_corners = []
-    edge_faces = {}
     for f, cls in enumerate(faces):
         p = cls.rep
         sides = []
@@ -286,25 +283,10 @@ def build_complex5() -> CellComplexData:
                 polygon(5, p.labels, (d_here, d_next)))]
             sides.append(e)
             corners.append(v)
-            edge_faces.setdefault(e, []).append((f, t))
         if len(set(sides)) != 5:
             raise RuntimeError(f"face {f} repeats a side class")
         face_sides.append(tuple(sides))
         face_corners.append(tuple(corners))
-
-    edge_vertices = {}
-    for e, uses in edge_faces.items():
-        if len(uses) != 2:
-            raise RuntimeError(f"edge {e} has {len(uses)} cofaces")
-        endpoint_sets = []
-        for f, t in uses:
-            ends = (face_corners[f][(t - 1) % 5], face_corners[f][t])
-            if ends[0] == ends[1]:
-                raise RuntimeError(f"edge {e} is a loop in face {f}")
-            endpoint_sets.append(frozenset(ends))
-        if endpoint_sets[0] != endpoint_sets[1]:
-            raise RuntimeError(f"edge {e} endpoints differ between cofaces")
-        edge_vertices[e] = tuple(sorted(endpoint_sets[0]))
 
     corner_count = {}
     for corners in face_corners:
@@ -319,6 +301,4 @@ def build_complex5() -> CellComplexData:
         vertices=tuple(vertices),
         face_sides=tuple(face_sides),
         face_corners=tuple(face_corners),
-        edge_faces={e: tuple(u) for e, u in edge_faces.items()},
-        edge_vertices=edge_vertices,
     )

@@ -25,7 +25,7 @@ import sys
 from dataclasses import replace
 
 from . import __version__, cells, cover, verify
-from .tracking import TrackingConfig
+from .tracking import TrackingConfig, loop_entry, loop_spec
 
 _TRACKING_FLAGS = ("steps", "seed", "base_t", "radius0", "radius1",
                    "radius_inf", "tol_residual", "tol_match_ratio",
@@ -55,10 +55,13 @@ def _config_from(args) -> TrackingConfig:
     overrides = {k: getattr(args, k) for k in _TRACKING_FLAGS
                  if getattr(args, k) is not None}
     try:
-        return replace(TrackingConfig(), **overrides)
+        cfg = replace(TrackingConfig(), **overrides)
+        for puncture in (0, 1, "inf"):
+            loop_entry(loop_spec(cfg, puncture))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
+    return cfg
 
 
 def _write(path, text: str) -> None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cells import CellComplexData, build_complex5
+from .cells import CellComplexData
 from .dessins import Dessin
 
 
@@ -310,7 +310,3 @@ def cover_to_dessin(cov: OrientedCover, orientation: int = 1) -> Dessin:
 
     return Dessin(sigma0, sigma1)
 
-
-def build_d() -> Dessin:
-    """The dessin of the orientation cover of the n=5 moduli complex."""
-    return cover_to_dessin(orientation_cover(surface_from_cells(build_complex5())))

@@ -10,6 +10,7 @@ representation.  The three loop permutations must have cycle types
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .dessins import Dessin
 from .perms import (
@@ -20,7 +21,6 @@ from .perms import (
     identity,
     inverse,
     regular_representation,
-    symmetric_group,
 )
 from .tracking import TrackingConfig, loop_spec, track_loop
 
@@ -45,8 +45,10 @@ class MonodromyTriple:
         return (cycle_type(self.pi0), cycle_type(self.pi1),
                 cycle_type(self.pi_inf))
 
-    def group_order(self) -> int:
-        return closure([self.pi0, self.pi1]).order
+    @cached_property
+    def group(self):
+        """The monodromy group <pi0, pi1>, closed once per triple."""
+        return closure([self.pi0, self.pi1])
 
     def report(self) -> dict:
         return {
@@ -54,7 +56,7 @@ class MonodromyTriple:
             "pi1": cycle_string(self.pi1),
             "pi_inf": cycle_string(self.pi_inf),
             "cycle_types": [list(t) for t in self.cycle_types()],
-            "group_order": self.group_order(),
+            "group_order": self.group.order,
             "product_is_identity": self.product_is_identity(),
             "inf_direct_equals_composite": self.inf_exact,
             "composition_order_flipped": self.order_flipped,
@@ -100,13 +102,13 @@ def monodromy_triple(cfg: TrackingConfig | None = None) -> MonodromyTriple:
 
 def sheet_constellation(triple: MonodromyTriple) -> Dessin:
     """The 120-dart dessin of the covering: sheets are the canonically
-    enumerated elements of the symmetric group, rotations are the left
-    regular representations of the loop permutations."""
-    grp = closure([triple.pi0, triple.pi1])
+    enumerated elements of the monodromy group, which must be the full
+    symmetric group, and rotations are the left regular representations
+    of the loop permutations."""
+    grp = triple.group
     if grp.order != 120:
         raise ValueError(
             f"loop permutations generate a group of order {grp.order}, "
             "not the full symmetric group")
-    s5 = symmetric_group(5)
-    return Dessin(regular_representation(triple.pi0, s5),
-                  regular_representation(triple.pi1, s5))
+    return Dessin(regular_representation(triple.pi0, grp),
+                  regular_representation(triple.pi1, grp))

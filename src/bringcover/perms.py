@@ -236,18 +236,6 @@ def _witness(group: GroupClosure, orders, relators) -> bool:
     return False
 
 
-def identify_group(gens, cap: int = DEFAULT_CLOSURE_CAP) -> str:
-    """Classify the generated group as ``"A5"``, ``"S5"`` or ``"Other(n)"``.
-
-    A5 and S5 are each recognized by a presentation witness in a group of
-    the presented order (60 and 120); everything else reports its order.
-    """
-    grp = closure(gens, cap=cap)
-    if grp.cap_exceeded:
-        raise ValueError("closure cap exceeded; cannot classify")
-    return identify_closure(grp)
-
-
 def identify_closure(grp: GroupClosure) -> str:
     if grp.cap_exceeded:
         raise ValueError("closure cap exceeded; cannot classify")

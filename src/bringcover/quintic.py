@@ -98,11 +98,6 @@ class IdentityReport:
     printed_expression_deviation: float  # how far the quartic-power variant strays
     printed_expression_exponent: int     # its weight under (a, b) -> (l^4 a, l^5 b)
 
-    def passes(self, tol: float = 1e-9) -> bool:
-        return (self.max_power_sum < tol
-                and self.max_identity_error < tol
-                and self.max_symmetric_error < tol)
-
 
 def _sample_coeffs(rng) -> tuple:
     while True:

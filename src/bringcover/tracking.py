@@ -68,6 +68,17 @@ class TrackingConfig:
                 and self.tol_match_ratio >= 1):
             raise ValueError("tol_match_ratio must be a finite number >= 1, "
                              f"got {self.tol_match_ratio!r}")
+        # a nan tolerance switches its check off the same way
+        for name in ("tol_residual", "tol_lambda"):
+            tol = getattr(self, name)
+            if not (math.isfinite(tol) and tol > 0):
+                raise ValueError(f"{name} must be a finite number > 0, "
+                                 f"got {tol!r}")
+        # outside (0, 1) the tail of a finite loop runs through the other
+        # finite puncture
+        if not 0 < self.base_t < 1:
+            raise ValueError("base_t must lie strictly between 0 and 1, "
+                             f"got {self.base_t!r}")
 
     def with_steps(self, steps: int) -> "TrackingConfig":
         return replace(self, steps=steps)
@@ -90,6 +101,9 @@ class LoopSpec:
             raise ValueError("direction must be 'ccw' or 'cw'")
         if self.steps < 4:
             raise ValueError("need at least 4 steps on the circle")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError("loop radius must be a finite number > 0, "
+                             f"got {self.radius!r}")
 
 
 def loop_spec(cfg: TrackingConfig, puncture) -> LoopSpec:
@@ -98,8 +112,10 @@ def loop_spec(cfg: TrackingConfig, puncture) -> LoopSpec:
                     radius=radius, steps=cfg.steps)
 
 
-def contour(spec: LoopSpec) -> list:
-    """Waypoints of the loop: tail out, full circle, tail back."""
+def loop_entry(spec: LoopSpec) -> tuple:
+    """(center, entry): the centre of the loop's circle and the point where
+    its tail meets the circle.  Raises ValueError for a loop that cannot be
+    built, which is every check :func:`contour` makes."""
     t0 = complex(spec.base_t)
     if spec.puncture == "inf":
         if abs(t0) >= spec.radius:
@@ -114,7 +130,13 @@ def contour(spec: LoopSpec) -> list:
         if abs(t0 - center) <= spec.radius:
             raise ValueError("finite loop must not swallow the base point")
         entry = center + spec.radius * (t0 - center) / abs(t0 - center)
+    return center, entry
 
+
+def contour(spec: LoopSpec) -> list:
+    """Waypoints of the loop: tail out, full circle, tail back."""
+    t0 = complex(spec.base_t)
+    center, entry = loop_entry(spec)
     n_tail = max(8, spec.steps // 8)
     tail = [t0 + (entry - t0) * k / n_tail for k in range(n_tail + 1)]
 

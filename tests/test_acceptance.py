@@ -11,7 +11,6 @@ from contextlib import contextmanager
 
 from bringcover.cells import build_complex5, enumerate_cells, refinements
 from bringcover.cover import (
-    build_d,
     euler_characteristic,
     is_orientable,
     orientation_cover,
@@ -35,6 +34,7 @@ from bringcover.perms import (
 )
 from bringcover.quintic import verify_identities
 from bringcover.tracking import TrackingConfig
+from bringcover.verify import Context
 
 
 @contextmanager
@@ -77,7 +77,7 @@ def test_criterion_03_orientation_cover():
 
 def test_criterion_04_cover_dessin_passport():
     with criterion(4, "cover dessin passport", 1.0):
-        d = build_d()
+        d = Context().dessin_d
         p = d.passport()
         assert d.n_darts == 120
         assert p.black == tuple([4] * 30)
@@ -116,7 +116,7 @@ def test_criterion_06_union_census():
 
 def test_criterion_07_main_theorem_isomorphism():
     with criterion(7, "main isomorphism", 10.0):
-        d = build_d()
+        d = Context().dessin_d
         j = build_i4().union_with_dual().dual().recolor()
         mirrored = False
         found = isomorphic(d, j)
@@ -129,7 +129,7 @@ def test_criterion_07_main_theorem_isomorphism():
 
 def test_criterion_08_regularity_of_cover_dessin():
     with criterion(8, "cover dessin regularity", 10.0):
-        d = build_d()
+        d = Context().dessin_d
         grp = automorphism_group(d)
         assert grp.order == 120
         assert acts_freely(d, grp)
@@ -174,7 +174,7 @@ def test_criterion_12_property_suites():
     with criterion(12, "property suites", 10.0):
         # exact involutions and Euler consistency on all built dessins
         built = [build_icosahedron(), build_i4(),
-                 build_i4().union_with_dual(), build_d()]
+                 build_i4().union_with_dual(), Context().dessin_d]
         for d in built:
             assert d.dual().dual() == d
             assert d.recolor().recolor() == d

@@ -17,6 +17,7 @@ from bringcover.cells import (
     refinements,
     twist,
 )
+from bringcover.cover import surface_from_cells
 
 
 # ------------------------------------------------------------ reference
@@ -327,27 +328,33 @@ def cx():
     return build_complex5()
 
 
+@pytest.fixture(scope="module")
+def surf(cx):
+    return surface_from_cells(cx)
+
+
 class TestComplex5:
     def test_counts(self, cx):
         assert len(cx.faces) == 12
         assert len(cx.edges) == 30
         assert len(cx.vertices) == 15
 
-    def test_face_edge_regularity(self, cx):
+    def test_face_edge_regularity(self, cx, surf):
         assert all(len(sides) == 5 for sides in cx.face_sides)
-        assert all(len(uses) == 2 for uses in cx.edge_faces.values())
+        assert all(len(uses) == 2 for uses in surf.edge_uses.values())
         assert sum(len(s) for s in cx.face_sides) == 60
 
-    def test_edge_vertex_regularity(self, cx):
-        assert all(len(set(vs)) == 2 for vs in cx.edge_vertices.values())
+    def test_edge_vertex_regularity(self, cx, surf):
+        assert all(len(set(surf.side_endpoints(f, t))) == 2
+                   for uses in surf.edge_uses.values() for f, t in uses)
         corner_count = {}
         for corners in cx.face_corners:
             for v in corners:
                 corner_count[v] = corner_count.get(v, 0) + 1
         assert all(corner_count[v] == 4 for v in range(15))
 
-    def test_edge_cofaces_are_removal_and_twist_partner(self, cx):
-        for e, uses in cx.edge_faces.items():
+    def test_edge_cofaces_are_removal_and_twist_partner(self, cx, surf):
+        for e, uses in surf.edge_uses.items():
             rep = cx.edges[e].rep
             (chord,) = rep.diags
             smooth = canonical_class(polygon(5, rep.labels))

@@ -18,6 +18,7 @@ from bringcover.cells import (
     build_complex5,
     enumerate_cells,
 )
+from bringcover.cover import surface_from_cells
 
 
 def short_block(chord):
@@ -135,6 +136,7 @@ def test_complex_incidences_against_descriptors(cx):
 def test_edge_endpoints_against_descriptors(cx):
     """An edge with pair {i,j} and middle y, with {x,z} the other two
     labels, ends at the vertices (z; {ij},{xy}) and (x; {ij},{yz})."""
+    surf = surface_from_cells(cx)
     vert_desc = {v: vertex_descriptor(cls.rep)
                  for v, cls in enumerate(cx.vertices)}
     for e, cls in enumerate(cx.edges):
@@ -144,5 +146,6 @@ def test_edge_endpoints_against_descriptors(cx):
             (z, frozenset({frozenset(pair), frozenset({x, y})})),
             (x, frozenset({frozenset(pair), frozenset({y, z})})),
         }
-        got = {vert_desc[v] for v in cx.edge_vertices[e]}
+        got = {vert_desc[v]
+               for v in surf.side_endpoints(*surf.edge_uses[e][0])}
         assert got == expected

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from bringcover import cells, cover, monodromy, verify
+from bringcover import cells, cover, monodromy, perms, verify
 from bringcover.cli import main
 from bringcover.tracking import TrackingConfig
 
@@ -98,10 +98,9 @@ def test_cover_json_export(tmp_path, capsys):
         "faces": 24, "edges": 60, "vertices": 30,
         "components": 1, "orientable": True, "genus": 4,
     }
-    from bringcover.cover import build_d
     from bringcover.dessins import Dessin
 
-    assert Dessin.from_text(payload["dessin"]) == build_d()
+    assert Dessin.from_text(payload["dessin"]) == verify.Context().dessin_d
     capsys.readouterr()
 
 
@@ -129,6 +128,18 @@ def test_monodromy_json_tracks_each_triple_once(tmp_path, monkeypatch,
     # the base triple and the doubling check's triple, nothing more
     assert [cfg.steps for _, cfg in calls] == [256, 512]
     assert json.loads(out.read_text())["monodromy"]["group_order"] == 120
+    capsys.readouterr()
+
+
+def test_monodromy_json_closes_the_group_once(tmp_path, monkeypatch, capsys):
+    calls = _record_calls(monkeypatch, perms.closure)
+    out = tmp_path / "monodromy.json"
+    assert main(["monodromy", "--json", str(out)]) == 0
+    rep = json.loads(out.read_text())["monodromy"]
+    gens = [perms.parse_cycle_string(rep[k], 5) for k in ("pi0", "pi1")]
+    # the group check, the report's group_order and the sheet dessin all
+    # read one closure of the triple's generators
+    assert [args[1] for args in calls].count(gens) == 1
     capsys.readouterr()
 
 
@@ -215,6 +226,23 @@ def test_nan_match_ratio_exits_2(capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "tol_match_ratio" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--steps", "3"],            # too few steps for a circle
+    ["--radius-inf", "0.9"],     # the infinity circle misses t = 1
+    ["--radius0", "0.6"],        # the loop around 0 swallows the base point
+    ["--base-t", "1.5"],         # the tail around 0 would cross t = 1
+    ["--radius-inf", "nan"],     # compares false with every bound
+    ["--tol-lambda", "nan"],     # would switch the branch-drift check off
+])
+def test_bad_tracking_flags_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["monodromy", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_console_script():

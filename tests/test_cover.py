@@ -2,7 +2,6 @@ import pytest
 
 from bringcover.cells import build_complex5
 from bringcover.cover import (
-    build_d,
     cover_to_dessin,
     euler_characteristic,
     is_orientable,
@@ -12,6 +11,7 @@ from bringcover.cover import (
 )
 from bringcover.dessins import acts_freely, automorphism_group, build_i4, isomorphic
 from bringcover.perms import cycle_type, identify_closure
+from bringcover.verify import Context
 
 
 def two_triangle_sphere():
@@ -133,7 +133,7 @@ def test_dessin_faces_are_ten_gons(dessin_d):
 
 def test_dessin_deterministic(cover5, dessin_d):
     assert cover_to_dessin(cover5) == dessin_d
-    assert build_d() == dessin_d
+    assert Context().dessin_d == dessin_d
 
 
 def test_opposite_orientation_is_mirror(cover5, dessin_d):

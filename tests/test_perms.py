@@ -12,7 +12,7 @@ from bringcover.perms import (
     cycle_string,
     cycle_type,
     from_cycles,
-    identify_group,
+    identify_closure,
     identity,
     inverse,
     order,
@@ -160,7 +160,8 @@ def test_regular_representation_membership():
 
 
 def test_identify_a5():
-    assert identify_group([C5, from_cycles(5, [(0, 1, 2)])]) == "A5"
+    assert identify_closure(closure([C5, from_cycles(5, [(0, 1, 2)])])) \
+        == "A5"
     # oracle: evenness; the closure must be exactly the even permutations
     grp = closure([C5, from_cycles(5, [(0, 1, 2)])])
     even = {p for p in permutations(range(5))
@@ -169,12 +170,12 @@ def test_identify_a5():
 
 
 def test_identify_s5():
-    assert identify_group([C5, T5]) == "S5"
+    assert identify_closure(closure([C5, T5])) == "S5"
 
 
 def test_identify_other():
-    assert identify_group([C5]) == "Other(5)"
-    assert identify_group([T5]) == "Other(2)"
+    assert identify_closure(closure([C5])) == "Other(5)"
+    assert identify_closure(closure([T5])) == "Other(2)"
 
 
 @pytest.mark.parametrize("gens", [
@@ -187,15 +188,15 @@ def test_identify_other():
 ], ids=["A5xC2", "S4xC5"])
 def test_identify_order_120_not_s5(gens):
     assert closure(gens).order == 120
-    assert identify_group(gens) == "Other(120)"
+    assert identify_closure(closure(gens)) == "Other(120)"
 
 
 def test_identify_invariant_under_generating_set():
     # different generating pairs of the same groups
-    assert identify_group([from_cycles(5, [(0, 1, 2, 3, 4)]),
-                           from_cycles(5, [(2, 3, 4)])]) == "A5"
-    assert identify_group([from_cycles(5, [(1, 2, 3, 4, 0)]),
-                           from_cycles(5, [(3, 4)])]) == "S5"
+    assert identify_closure(closure([from_cycles(5, [(0, 1, 2, 3, 4)]),
+                                     from_cycles(5, [(2, 3, 4)])])) == "A5"
+    assert identify_closure(closure([from_cycles(5, [(1, 2, 3, 4, 0)]),
+                                     from_cycles(5, [(3, 4)])])) == "S5"
 
 
 def test_symmetric_group_sizes():

@@ -1,12 +1,13 @@
 import cmath
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bringcover import quintic
+from bringcover import quintic, verify
 from bringcover.quintic import (
     INF,
     b_from_t,
@@ -206,7 +207,9 @@ def test_identity_report():
     assert rep.max_power_sum < 1e-9
     assert rep.max_identity_error < 1e-9
     assert rep.max_symmetric_error < 1e-9
-    assert rep.passes(1e-9)
+    # the monodromy.identities check passes this report
+    (check,) = [c for c in verify.CHECKS if c.name == "monodromy.identities"]
+    assert check.verdict(check.fn(SimpleNamespace(identities=rep)))
 
 
 def test_printed_expression_findings():

@@ -179,6 +179,9 @@ def test_loop_spec_validation():
         LoopSpec(puncture=0, base_t=1, radius=0.1, steps=64)
     with pytest.raises(ValueError):
         LoopSpec(puncture=0, base_t=0.5, radius=0.1, steps=2)
+    for radius in (math.nan, 0.0, -0.25):
+        with pytest.raises(ValueError, match="radius"):
+            LoopSpec(puncture=0, base_t=0.5, radius=radius, steps=64)
     with pytest.raises(ValueError):
         contour(LoopSpec(puncture=0, base_t=0.5, radius=0.7, steps=64))
     with pytest.raises(ValueError):
@@ -261,7 +264,7 @@ def test_monodromy_triple(triple):
     assert triple.cycle_types() == ((5,), (4, 1), (2, 1, 1, 1))
     assert triple.product_is_identity()
     assert triple.inf_exact
-    assert triple.group_order() == 120
+    assert triple.group.order == 120
     for res in triple.loops.values():
         assert res.max_residual < 1e-9
         assert abs(res.lam**4 - 1) < 1e-8
@@ -401,6 +404,20 @@ def test_config_rejects_bad_match_ratio(ratio):
         TrackingConfig(tol_match_ratio=ratio)
     with pytest.raises(ValueError, match="tol_match_ratio"):
         dataclasses.replace(CFG, tol_match_ratio=ratio)
+
+
+@pytest.mark.parametrize("name", ["tol_residual", "tol_lambda"])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8])
+def test_config_rejects_bad_tolerance(name, tol):
+    # a nan tolerance would switch its check off
+    with pytest.raises(ValueError, match=name):
+        dataclasses.replace(CFG, **{name: tol})
+
+
+@pytest.mark.parametrize("base_t", [0.0, 1.0, 1.5, -0.5, math.nan])
+def test_config_rejects_base_point_outside_unit_interval(base_t):
+    with pytest.raises(ValueError, match="base_t"):
+        TrackingConfig(base_t=base_t)
 
 
 def _recorded_steps(monkeypatch, cfg):

@@ -1,0 +1,60 @@
+"""The check registry: each check's declaration decides its verdict."""
+
+import dataclasses
+
+import pytest
+
+from bringcover import verify
+
+EQUALITY_CHECKS = [c for c in verify.CHECKS if c.verdict is None]
+
+
+def test_verify_all_rows_and_modules():
+    # the same counts the benchmark gates on, so a change to the registry
+    # shows here first
+    report = verify.run_checks()
+    statuses = [c["status"] for c in report["checks"]]
+    assert (statuses.count("pass"), statuses.count("info"),
+            statuses.count("fail")) == (27, 2, 0)
+    assert verify.MODULES == ("cells", "cover", "dessins", "monodromy",
+                              "perms")
+    assert {c.module for c in verify.CHECKS} == set(verify.MODULES)
+    assert all(c.name.startswith(c.module + ".") for c in verify.CHECKS)
+
+
+def test_check_names_are_unique():
+    names = [c.name for c in verify.CHECKS]
+    assert len(names) == len(set(names)) == 29
+
+
+def test_verdict_checks():
+    verdicts = {c.name for c in verify.CHECKS if c.verdict is not None}
+    assert verdicts == {"dessins.main_isomorphism",
+                        "dessins.main_isomorphism_mirror_flag",
+                        "monodromy.identities", "monodromy.quality",
+                        "monodromy.printed_expression_weight"}
+    assert len(EQUALITY_CHECKS) == 24
+
+
+@pytest.mark.parametrize("check", EQUALITY_CHECKS, ids=lambda c: c.name)
+def test_equality_check_fails_on_other_value(monkeypatch, check):
+    sentinel = object()
+    monkeypatch.setattr(verify, "CHECKS", [
+        dataclasses.replace(check, fn=lambda ctx: sentinel)])
+    (row,) = verify.run_checks(only=check.module)["checks"]
+    assert row["name"] == check.name
+    assert row["status"] == "fail"
+    assert row["observed"] is sentinel
+    assert row["expected"] == check.expected
+
+
+def test_raising_check_fails_with_its_error(monkeypatch):
+    def broken(ctx):
+        raise ArithmeticError("boom")
+
+    check = verify.CHECKS[0]
+    monkeypatch.setattr(verify, "CHECKS", [
+        dataclasses.replace(check, fn=broken)])
+    (row,) = verify.run_checks(only=check.module)["checks"]
+    assert (row["status"], row["observed"], row["expected"]) == \
+        ("fail", "ArithmeticError: boom", "no error")
