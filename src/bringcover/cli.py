@@ -13,8 +13,9 @@ Every subcommand builds its objects once, in one :class:`verify.Context`:
 the report subcommands run their checks on it and take their ``--json``
 extras from the same objects, and ``export`` builds only its target.
 
-Exit codes: 0 all gated checks pass, 1 some check failed, 2 usage or I/O
-error.
+Exit codes: 0 all gated checks pass, 1 some check failed (or, for
+``export``, the tracked monodromy its target needs could not be built), 2
+usage or I/O error.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import sys
 from dataclasses import replace
 
 from . import __version__, cells, cover, verify
-from .tracking import TrackingConfig, loop_entry, loop_spec
+from .tracking import TrackingConfig, TrackingError, loop_entry, loop_spec
 
 _TRACKING_FLAGS = ("steps", "seed", "base_t", "radius0", "radius1",
                    "radius_inf", "tol_residual", "tol_match_ratio",
@@ -150,7 +151,13 @@ def _cmd_report(args) -> int:
 
 def _cmd_export(args) -> int:
     ctx = verify.Context(_config_from(args))
-    _write(args.path, getattr(ctx, EXPORT_TARGETS[args.target]).to_dot())
+    try:
+        dessin = getattr(ctx, EXPORT_TARGETS[args.target])
+    except (TrackingError, ArithmeticError) as exc:
+        # the sheet dessin needs the tracked monodromy, which can fail
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    _write(args.path, dessin.to_dot())
     print(f"wrote {args.target} to {args.path}")
     return 0
 

@@ -6,15 +6,28 @@ group this package ever needs is the symmetric group on 5 points acting
 on itself (order 120), so closure is plain breadth-first multiplication
 with a safety cap and no stabilizer-chain machinery.  Closure builds the
 small groups given by generators (S_n, presentation witnesses); an
-automorphism group of a dessin is found element by element in
-``dessins.automorphism_group``, which uses closure over a few of those
+automorphism group of a dessin is read off a table of words in
+``dessins.automorphism_group``, which uses closure over a few of its
 elements only to prove that they form a group.
+
+Composition is the inner loop of all of it, so it runs in C:
+``itemgetter(*q)(p)`` is the tuple of p's images at q's points, which is
+p . q.  Below degree 2 itemgetter would return a bare int or fail, so
+those degrees take their own branch.  ``regular_representation`` applies
+the same idiom to all the elements of a group at once.
+
+A5 and S5 are named by presentation witnesses: a pair of generators that
+satisfies the presentation's relators and generates the whole group.  A
+pair conjugate to a witness is a witness too, so the search tries one
+first generator per conjugacy class and skips the others.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from math import factorial, lcm
+from operator import itemgetter
 
 Perm = tuple
 
@@ -33,7 +46,9 @@ def compose(p: Perm, q: Perm) -> Perm:
     """(p . q)(x) = p(q(x)); q is applied first."""
     if len(p) != len(q):
         raise ValueError(f"degree mismatch: {len(p)} vs {len(q)}")
-    return tuple(map(p.__getitem__, q))
+    if len(q) > 1:
+        return itemgetter(*q)(p)
+    return tuple(p)  # degree 0 or 1: itemgetter would give no tuple
 
 
 def inverse(p: Perm) -> Perm:
@@ -188,12 +203,20 @@ def closure(gens, cap: int = DEFAULT_CLOSURE_CAP) -> GroupClosure:
 
 def regular_representation(g: Perm, group: GroupClosure) -> Perm:
     """Left multiplication x -> g.x as a permutation of the group's
-    canonical element order."""
+    canonical element order.
+
+    g maps all the elements, laid end to end, in one itemgetter call; the
+    images are cut back into elements and looked up in the group's index.
+    """
     if group.cap_exceeded:
         raise ValueError("group enumeration incomplete (cap exceeded)")
     g = tuple(g)
-    group.index_of(g)  # membership check
-    return tuple(group.index_of(compose(g, x)) for x in group.elements)
+    group.index_of(g)  # membership check; builds the index
+    n = len(g)
+    if n < 2:
+        return (0,)  # degree 0 or 1: the trivial group
+    images = iter(itemgetter(*chain.from_iterable(group.elements))(g))
+    return tuple(map(group._index.__getitem__, zip(*[images] * n)))
 
 
 def _power(p: Perm, k: int) -> Perm:
@@ -222,17 +245,24 @@ def _witness(group: GroupClosure, orders, relators) -> bool:
     relators are all trivial and which generate the whole group.
 
     The group is then a quotient of the presented group; when both have
-    the same order they are isomorphic.
+    the same order they are isomorphic.  Conjugating a witness pair by
+    any element gives a witness pair, so an x conjugate to one already
+    tried is skipped: one x per conjugacy class is tried.
     """
     e = identity(len(group.elements[0]))
     by_order = {}
     for g in group.elements:
         by_order.setdefault(order(g), []).append(g)
+    tried = set()
     for x in by_order.get(orders[0], ()):
+        if x in tried:
+            continue
         for y in by_order.get(orders[1], ()):
             if all(rel(x, y) == e for rel in relators) and \
                     closure([x, y], cap=group.order + 1).order == group.order:
                 return True
+        tried.update(compose(compose(g, x), inverse(g))
+                     for g in group.elements)
     return False
 
 

@@ -210,6 +210,18 @@ def test_export_bad_path_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_export_tracking_failure_exits_1(tmp_path, capsys):
+    # the flags are valid, but 4 steps per circle are too coarse to track
+    out = tmp_path / "sheet.dot"
+    assert main(["export", "--target", "sheet", "--steps", "4",
+                 "--path", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: TrackingError: ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_usage_error_exits_2(capsys):
     for argv in (["verify-all", "--only", "nonsense"],
                  ["export", "--target", "Z", "--path", "x"],

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bringcover import dessins, perms, verify
 from bringcover.dessins import (
@@ -17,6 +19,7 @@ from bringcover.perms import (
     identity,
     inverse,
     order,
+    regular_representation,
 )
 
 SINGLE_EDGE = Dessin((0,), (0,))
@@ -348,15 +351,12 @@ def test_isomorphic_is_first_reference_map():
 
 def test_automorphism_group_rejects_maps_not_closed(monkeypatch):
     ico = build_icosahedron()
-    real = dessins._extend_from_anchor
-    pairs = dessins._rotation_pairs(ico, ico)
-    t5 = next(t for t in range(ico.n_darts)
-              if (h := real(pairs, t)) is not None and order(h) == 5)
+    maps = dessins._automorphism_maps(ico)
+    assert maps[0] == identity(ico.n_darts)
+    h5 = next(h for h in maps if order(h) == 5)
     # accept only the identity and one automorphism of order 5
-    monkeypatch.setattr(
-        dessins, "_extend_from_anchor",
-        lambda pairs, target: real(pairs, target) if target in (0, t5)
-        else None)
+    monkeypatch.setattr(dessins, "_automorphism_maps",
+                        lambda d: [maps[0], h5])
     with pytest.raises(RuntimeError):
         automorphism_group(ico)
 
@@ -374,3 +374,41 @@ def test_automorphism_group_does_not_reclose_all_maps(monkeypatch):
     monkeypatch.setattr(dessins, "compose", counting_compose)
     assert automorphism_group(union).order == 120
     assert 0 < calls[0] < 2000
+
+
+@st.composite
+def connected_dessins(draw):
+    """A connected dessin of degree <= 12: two random permutations, or the
+    regular dessin of a group generated by two permutations of 4 points,
+    whose automorphism group has as many elements as it has darts."""
+    if draw(st.booleans()):
+        a, b = (tuple(draw(st.permutations(range(4)))) for _ in range(2))
+        grp = closure([a, b])
+        assume(grp.order <= 12)
+        return Dessin(regular_representation(a, grp),
+                      regular_representation(b, grp))
+    n = draw(st.integers(min_value=1, max_value=12))
+    d = Dessin(draw(st.permutations(range(n))),
+               draw(st.permutations(range(n))))
+    assume(d.is_connected)
+    return d
+
+
+def test_automorphism_group_matches_reference_on_random_dessins():
+    regular = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(connected_dessins())
+    def check(d):
+        grp = automorphism_group(d)
+        ref = reference_automorphism_group(d)
+        assert grp.generators == ref.generators
+        assert grp.elements == ref.elements
+        assert grp.cap_exceeded == ref.cap_exceeded
+        assert grp.order == ref.order
+        regular.add(grp.order == d.n_darts)
+
+    check()
+    # both kinds occur: in the non-regular dessins some columns of the
+    # word table fail to commute and are rejected
+    assert regular == {True, False}

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bringcover import perms
+from bringcover.dessins import automorphism_group, build_i4
 from bringcover.perms import (
+    GroupClosure,
     closure,
     compose,
     cycle_string,
@@ -49,6 +52,20 @@ def test_compose_direct_evaluation():
 def test_compose_degree_mismatch():
     with pytest.raises(ValueError):
         compose(identity(3), identity(4))
+
+
+# itemgetter with one index returns a scalar, with none it raises
+@pytest.mark.parametrize("p,q,expected", [
+    ((), (), ()),
+    ((0,), (0,), (0,)),
+    ([0], [0], (0,)),
+    ([1, 0], [1, 0], (0, 1)),
+    ([2, 0, 1], (1, 2, 0), (0, 1, 2)),
+])
+def test_compose_small_degrees_and_lists_give_tuples(p, q, expected):
+    pq = compose(p, q)
+    assert pq == expected
+    assert type(pq) is tuple
 
 
 @st.composite
@@ -153,6 +170,27 @@ def test_regular_representation_law_random():
         assert cycle_type(rep) == tuple([k] * (120 // k))
 
 
+def test_regular_representation_small_degrees():
+    assert regular_representation((), closure([])) == (0,)
+    assert regular_representation((0,), closure([identity(1)])) == (0,)
+    c2 = closure([(1, 0)])
+    assert regular_representation((1, 0), c2) == (1, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=6).flatmap(
+    lambda n: st.lists(st.permutations(range(n)), min_size=1, max_size=2)))
+def test_regular_representation_matches_definition(gens):
+    grp = closure(gens, cap=200)
+    if grp.cap_exceeded:
+        with pytest.raises(ValueError):
+            regular_representation(gens[0], grp)
+        return
+    for g in grp.elements[:: max(1, grp.order // 8)]:
+        assert regular_representation(g, grp) == tuple(
+            grp.index_of(compose(g, x)) for x in grp.elements)
+
+
 def test_regular_representation_membership():
     a5 = closure([C5, from_cycles(5, [(0, 1, 2)])])
     with pytest.raises(ValueError):
@@ -202,3 +240,57 @@ def test_identify_invariant_under_generating_set():
 def test_symmetric_group_sizes():
     for n in (1, 2, 3, 4, 5):
         assert symmetric_group(n).order == factorial(n)
+
+
+def _relabeled(grp, r):
+    """The group conjugated by the point relabeling r: each element g
+    becomes r g r^-1, and the elements are sorted anew."""
+    ri = inverse(r)
+    return GroupClosure(
+        generators=grp.generators,
+        elements=tuple(sorted(compose(compose(r, g), ri)
+                              for g in grp.elements)))
+
+
+@pytest.fixture(scope="module")
+def named_groups():
+    i4 = build_i4()
+    return {
+        "I4": (automorphism_group(i4), "A5"),
+        "union": (automorphism_group(i4.union_with_dual()), "S5"),
+        "A5xC2": (closure([from_cycles(7, [(0, 1, 2, 3, 4)]),
+                           from_cycles(7, [(0, 1, 2)]),
+                           from_cycles(7, [(5, 6)])]), "Other(120)"),
+        "S4xC5": (closure([from_cycles(9, [(0, 1)]),
+                           from_cycles(9, [(0, 1, 2, 3)]),
+                           from_cycles(9, [(4, 5, 6, 7, 8)])]), "Other(120)"),
+    }
+
+
+@pytest.mark.parametrize("name", ["I4", "union", "A5xC2", "S4xC5"])
+def test_identify_invariant_under_relabeling(named_groups, name):
+    # a relabeling reorders the sorted elements, and so which x of each
+    # conjugacy class the witness search tries first
+    grp, expected = named_groups[name]
+    assert identify_closure(grp) == expected
+    rng = random.Random(name)
+    for _ in range(4):
+        r = random_perm(len(grp.elements[0]), rng)
+        assert identify_closure(_relabeled(grp, r)) == expected
+
+
+def test_identify_work_guard(monkeypatch, named_groups):
+    # one x per conjugacy class: the union's S5 is named in ~670
+    # compositions; trying every involution took ~2,800
+    grp = named_groups["union"][0]
+    calls = 0
+    real = perms.compose
+
+    def counting_compose(p, q):
+        nonlocal calls
+        calls += 1
+        return real(p, q)
+
+    monkeypatch.setattr(perms, "compose", counting_compose)
+    assert identify_closure(grp) == "S5"
+    assert calls <= 1000, calls
