@@ -9,6 +9,13 @@ The transforms below (recolor, subdivide, dual, union with the dual)
 mirror the classical Belyi-function substitutions 1-b, 4b(1-b), 1/b and
 4b/(b+1)^2 at the permutation level; each one is pinned down by exact
 involution identities and by the census of the 4-icosahedron.
+
+Isomorphisms and automorphisms come from one word table: the words that
+reach each dart from dart 0 in the source's rotations, spelled in the
+target's.  A map that intertwines the rotations is one column of it.
+``isomorphic`` takes the first column kept, ``automorphism_group`` all
+of them, and closes the generators it picks from them once, to prove
+that they form a group.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from .perms import (
     cycles,
     identity,
     inverse,
+    is_perm,
     num_cycles,
     parse_cycle_string,
 )
@@ -49,16 +57,16 @@ class Dessin:
             raise ValueError(
                 f"degree mismatch: {len(sigma0)} vs {len(sigma1)}"
             )
+        for name, p in (("sigma0", sigma0), ("sigma1", sigma1)):
+            if not is_perm(p):
+                raise ValueError(
+                    f"{name} is not a permutation of {len(p)} darts")
         self_set = super().__setattr__
         self_set("n_darts", len(sigma0))
         self_set("sigma0", sigma0)
         self_set("sigma1", sigma1)
         self_set("sigma_inf", inverse(compose(sigma0, sigma1)))
         self_set("_connected", None)
-        # product identity holds by construction; check it anyway
-        if compose(compose(self.sigma0, self.sigma1), self.sigma_inf) \
-                != identity(self.n_darts):
-            raise RuntimeError("sigma0 sigma1 sigma_inf is not the identity")
 
     def __setattr__(self, *a):
         raise AttributeError("Dessin is immutable")
@@ -245,44 +253,39 @@ class IsoMap:
         )
 
 
-def _rotation_pairs(src: Dessin, dst: Dessin):
-    """The four (src, dst) rotations an isomorphism must intertwine:
-    sigma0, sigma1 and their inverses.  Computed once per search."""
-    return (
-        (src.sigma0, dst.sigma0),
-        (src.sigma1, dst.sigma1),
-        (inverse(src.sigma0), inverse(dst.sigma0)),
-        (inverse(src.sigma1), inverse(dst.sigma1)),
-    )
+def _maps(a: Dessin, b: Dessin):
+    """Every dart bijection a -> b that intertwines both rotations, in the
+    order of the image of dart 0; a and b are connected, of one degree.
 
-
-def _extend_from_anchor(pairs, target: int):
-    """Deterministic extension of dart 0 -> target along sigma words;
-    None when it collides.  ``pairs`` comes from :func:`_rotation_pairs`."""
-    d = len(pairs[0][0])
-    h = [-1] * d
-    h[0] = target
-    stack = [0]
-    while stack:
-        x = stack.pop()
-        for ps, pd in pairs:
-            y = ps[x]
-            img = pd[h[x]]
-            if h[y] == -1:
-                h[y] = img
-                stack.append(y)
-            elif h[y] != img:
-                return None
-    if -1 in h or sorted(h) != list(range(d)):
-        return None
-    return tuple(h)
+    One breadth-first pass from dart 0 over a's sigma0 and sigma1 gives
+    each dart x a word w_x in a's rotations with w_x(0) = x; ``words[x]``
+    is the same word in b's rotations.  A map h that intertwines the
+    rotations sends x = w_x(0) to w_x(h(0)), so the one with 0 -> t is
+    column t of the word table.  Column t is kept iff it intertwines both
+    rotations; its image is then closed under b's rotations, so it is
+    onto and a bijection.  The columns are tested lazily: the first one
+    kept costs the table and the columns before it.
+    """
+    pairs = ((a.sigma0, b.sigma0), (a.sigma1, b.sigma1))
+    words = [None] * a.n_darts
+    words[0] = identity(b.n_darts)
+    queue = [0]
+    for x in queue:
+        for ga, gb in pairs:
+            y = ga[x]
+            if words[y] is None:
+                words[y] = compose(gb, words[x])
+                queue.append(y)
+    for c in zip(*words):
+        if all(compose(c, ga) == compose(gb, c) for ga, gb in pairs):
+            yield c
 
 
 def isomorphic(a: Dessin, b: Dessin) -> IsoMap | None:
     """Color- and orientation-preserving isomorphism, or None.
 
-    Anchor-and-extend over all candidate images of dart 0; O(d^2), fine
-    for the at most 240 darts this suite builds.
+    The first kept column of the word table of :func:`_maps`: the
+    isomorphism with the smallest image of dart 0.
     """
     if not (a.is_connected and b.is_connected):
         raise ValueError("isomorphism search needs connected dessins")
@@ -290,68 +293,48 @@ def isomorphic(a: Dessin, b: Dessin) -> IsoMap | None:
         return None
     if a.passport() != b.passport():
         return None
-    pairs = _rotation_pairs(a, b)
-    for target in range(b.n_darts):
-        h = _extend_from_anchor(pairs, target)
-        if h is not None:
-            m = IsoMap(h)
-            if not m.is_valid(a, b):
-                raise RuntimeError("anchor extension gave an invalid map")
-            return m
-    return None
-
-
-def _automorphism_maps(d: Dessin) -> list:
-    """Every automorphism of the connected dessin d, in the order of the
-    image of dart 0.
-
-    One breadth-first pass from dart 0 over sigma0 and sigma1 gives each
-    dart x a word h_x in the rotations with h_x(0) = x.  An automorphism
-    commutes with every such word, so one that sends dart 0 to t sends x
-    to h_x(t): it is column t of the word table.  Column t is kept iff it
-    commutes with both rotations; its image is then closed under them,
-    so it is onto and a bijection.
-    """
-    s0, s1 = d.sigma0, d.sigma1
-    words = [None] * d.n_darts
-    words[0] = identity(d.n_darts)
-    queue = [0]
-    for x in queue:
-        for g in (s0, s1):
-            y = g[x]
-            if words[y] is None:
-                words[y] = compose(g, words[x])
-                queue.append(y)
-    return [c for c in zip(*words)
-            if compose(c, s0) == compose(s0, c)
-            and compose(c, s1) == compose(s1, c)]
+    h = next(_maps(a, b), None)
+    if h is None:
+        return None
+    m = IsoMap(h)
+    if not m.is_valid(a, b):
+        raise RuntimeError("word table gave an invalid map")
+    return m
 
 
 def automorphism_group(d: Dessin) -> GroupClosure:
     """All dart bijections commuting with both rotations, as a group of
     permutations of the darts.
 
-    d is connected, so its rotations generate a transitive group, and an
-    automorphism commutes with all of it: it is fixed by the image of
-    dart 0 and is one column of the table of words that
-    :func:`_automorphism_maps` reads (the centralizer of the monodromy
-    group; Jones-Wolfart, *Dessins d'Enfants on Riemann Surfaces*, 2016).
-    ``maps`` therefore holds the whole group, and it is not rebuilt by a
-    closure over all the maps.  A closure over the few maps not yet
-    generated by the ones before them proves that ``maps`` is closed
+    ``maps`` is every kept column of the word table of :func:`_maps`
+    for d -> d: an automorphism commutes with the monodromy group of the
+    connected dessin, so it is fixed by the image of dart 0 (the
+    centralizer of the monodromy group; Jones-Wolfart, *Dessins d'Enfants
+    on Riemann Surfaces*, 2016).  ``maps`` therefore holds the whole
+    group, and it is not rebuilt by a closure over all the maps.  For the
+    same reason the automorphisms act semiregularly, so a map lies in the
+    group generated by the maps before it iff its image of dart 0 lies in
+    that group's orbit of dart 0; the generators are picked by growing
+    that orbit.  Their closure, taken once, proves that ``maps`` is closed
     under composition; otherwise a ``RuntimeError`` is raised.  The result
     equals ``closure(maps)``: every map is a generator and the elements
     are sorted.
     """
     if not d.is_connected:
         raise ValueError("automorphisms need a connected dessin")
-    maps = _automorphism_maps(d)
+    maps = list(_maps(d, d))
     gens = []
-    grp = closure([identity(d.n_darts)])
+    orbit = {0}
     for h in maps:
-        if h not in grp:
+        if h[0] not in orbit:
             gens.append(h)
-            grp = closure(gens, cap=len(maps) + 1)
+            queue = list(orbit)
+            for x in queue:
+                for g in gens:
+                    if g[x] not in orbit:
+                        orbit.add(g[x])
+                        queue.append(g[x])
+    grp = closure(gens or [identity(d.n_darts)], cap=len(maps) + 1)
     if grp.order != len(maps) or set(grp.elements) != set(maps):
         raise RuntimeError(f"{len(maps)} automorphisms close to a group "
                            f"of order {grp.order}")

@@ -7,8 +7,8 @@ on itself (order 120), so closure is plain breadth-first multiplication
 with a safety cap and no stabilizer-chain machinery.  Closure builds the
 small groups given by generators (S_n, presentation witnesses); an
 automorphism group of a dessin is read off a table of words in
-``dessins.automorphism_group``, which uses closure over a few of its
-elements only to prove that they form a group.
+``dessins.automorphism_group``, which closes the few generators it picks
+from it once, only to prove that they form a group.
 
 Composition is the inner loop of all of it, so it runs in C:
 ``itemgetter(*q)(p)`` is the tuple of p's images at q's points, which is
@@ -154,14 +154,6 @@ class GroupClosure:
             return self._index[tuple(g)]
         except KeyError:
             raise ValueError(f"{cycle_string(g)} is not in the group") from None
-
-    def __contains__(self, g) -> bool:
-        if self._index is None:
-            self.index_of(self.elements[0])
-        return tuple(g) in self._index
-
-    def __iter__(self):
-        return iter(self.elements)
 
 
 def closure(gens, cap: int = DEFAULT_CLOSURE_CAP) -> GroupClosure:

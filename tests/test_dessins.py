@@ -13,6 +13,7 @@ from bringcover.dessins import (
 )
 from bringcover.perms import (
     closure,
+    compose,
     cycle_type,
     from_cycles,
     identify_closure,
@@ -26,8 +27,9 @@ SINGLE_EDGE = Dessin((0,), (0,))
 
 
 def reference_extend(src, dst, target):
-    """Anchor extension with the inverses computed on every call: the
-    reference for the hoisted ``dessins._extend_from_anchor``."""
+    """Anchor extension along sigma0, sigma1 and their inverses, the map
+    with dart 0 -> target or None when it collides: the reference for the
+    columns that ``dessins._maps`` keeps."""
     d = src.n_darts
     h = [-1] * d
     h[0] = target
@@ -97,6 +99,13 @@ def test_new_dessin_examples():
 def test_new_dessin_degree_mismatch():
     with pytest.raises(ValueError):
         Dessin(identity(2), identity(3))
+
+
+def test_new_dessin_rejects_non_permutations():
+    with pytest.raises(ValueError, match="sigma1 is not a permutation"):
+        Dessin((1, 2, 0), (0, 5, 1))
+    with pytest.raises(ValueError, match="sigma0 is not a permutation"):
+        Dessin((0, 0), (0, 1))
 
 
 def test_single_edge_passport():
@@ -333,13 +342,12 @@ def test_automorphism_group_matches_reference(named_dessins, name):
 
 @pytest.mark.parametrize("name", ["single_edge", "icosahedron", "i4",
                                   "union", "D"])
-def test_extend_from_anchor_matches_reference(named_dessins, name):
+def test_maps_match_reference(named_dessins, name):
     d = named_dessins[name]
     for src, dst in ((d, d), (d.dual(), d), (d.mirror(), d)):
-        pairs = dessins._rotation_pairs(src, dst)
-        for t in range(d.n_darts):
-            assert dessins._extend_from_anchor(pairs, t) == \
-                reference_extend(src, dst, t)
+        ref = [reference_extend(src, dst, t) for t in range(d.n_darts)]
+        assert list(dessins._maps(src, dst)) == \
+            [h for h in ref if h is not None]
 
 
 def test_isomorphic_is_first_reference_map():
@@ -351,12 +359,12 @@ def test_isomorphic_is_first_reference_map():
 
 def test_automorphism_group_rejects_maps_not_closed(monkeypatch):
     ico = build_icosahedron()
-    maps = dessins._automorphism_maps(ico)
+    maps = list(dessins._maps(ico, ico))
     assert maps[0] == identity(ico.n_darts)
     h5 = next(h for h in maps if order(h) == 5)
     # accept only the identity and one automorphism of order 5
-    monkeypatch.setattr(dessins, "_automorphism_maps",
-                        lambda d: [maps[0], h5])
+    monkeypatch.setattr(dessins, "_maps",
+                        lambda a, b: iter([maps[0], h5]))
     with pytest.raises(RuntimeError):
         automorphism_group(ico)
 
@@ -374,6 +382,20 @@ def test_automorphism_group_does_not_reclose_all_maps(monkeypatch):
     monkeypatch.setattr(dessins, "compose", counting_compose)
     assert automorphism_group(union).order == 120
     assert 0 < calls[0] < 2000
+
+
+def test_automorphism_group_closes_its_guard_once(monkeypatch):
+    union = build_i4().union_with_dual()
+    real = dessins.closure
+    calls = []
+
+    def counting_closure(gens, cap=perms.DEFAULT_CLOSURE_CAP):
+        calls.append(len(gens))
+        return real(gens, cap=cap)
+
+    monkeypatch.setattr(dessins, "closure", counting_closure)
+    assert automorphism_group(union).order == 120
+    assert calls == [3]
 
 
 @st.composite
@@ -412,3 +434,26 @@ def test_automorphism_group_matches_reference_on_random_dessins():
     # both kinds occur: in the non-regular dessins some columns of the
     # word table fail to commute and are rejected
     assert regular == {True, False}
+
+
+def test_isomorphic_is_first_reference_map_on_random_relabelings():
+    found = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(connected_dessins(), st.data())
+    def check(d, data):
+        p = tuple(data.draw(st.permutations(range(d.n_darts))))
+        p_inv = inverse(p)
+        e = Dessin(compose(compose(p, d.sigma0), p_inv),
+                   compose(compose(p, d.sigma1), p_inv))
+        for src in (d, d.mirror()):
+            first = next((h for h in (reference_extend(src, e, t)
+                                      for t in range(e.n_darts))
+                          if h is not None), None)
+            m = isomorphic(src, e)
+            assert (m and m.mapping) == first
+            found.add(m is not None)
+
+    check()
+    # both cases occur: chiral dessins are not isomorphic to their mirror
+    assert found == {True, False}

@@ -1,0 +1,47 @@
+"""Layout rules of the source tree that no behavioural test sees."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import bringcover
+
+SRC = Path(bringcover.__file__).parent
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _references(node):
+    """Every name a subtree reads: bare names, attributes and imports."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+
+
+def test_private_helpers_have_callers():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(SRC.glob("*.py"))}
+    total = Counter(name for tree in trees.values()
+                    for name in _references(tree))
+    defs = []
+    for fname, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, DEFS) and _is_private(node.name):
+                defs.append((fname, node))
+            if isinstance(node, ast.ClassDef):
+                defs.extend((fname, m) for m in node.body
+                            if isinstance(m, DEFS) and _is_private(m.name))
+    assert defs, "no private helpers found: the scan is broken"
+    # a reference inside the helper's own body (recursion) is no caller
+    uncalled = [f"{fname}:{node.lineno} {node.name}"
+                for fname, node in defs
+                if total[node.name]
+                == sum(n == node.name for n in _references(node))]
+    assert uncalled == []
