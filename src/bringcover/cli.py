@@ -39,7 +39,8 @@ EXPORT_TARGETS = {"D": "dessin_d", "I4": "i4", "union": "union",
 
 def _add_tracking_flags(p):
     p.add_argument("--steps", type=int, default=None,
-                   help="waypoints per loop circle (default 1024)")
+                   help="waypoints per loop circle "
+                        f"(default {TrackingConfig.steps})")
     p.add_argument("--seed", type=int, default=None,
                    help="seed for the sampled identity checks")
     p.add_argument("--base-t", type=float, default=None,

@@ -19,7 +19,9 @@ the same idiom to all the elements of a group at once.
 A5 and S5 are named by presentation witnesses: a pair of generators that
 satisfies the presentation's relators and generates the whole group.  A
 pair conjugate to a witness is a witness too, so the search tries one
-first generator per conjugacy class and skips the others.
+first generator per conjugacy class and skips the others.  The generators'
+orders are the primes 2 and 5, so a candidate is tested by g != e and
+g^p = e in itemgetter compositions, without a cycle decomposition.
 """
 
 from __future__ import annotations
@@ -222,7 +224,20 @@ def _commutator(a: Perm, b: Perm) -> Perm:
     return compose(compose(inverse(a), inverse(b)), compose(a, b))
 
 
-# name -> (group order, generator orders, relators in the generators x, y)
+def _has_prime_order(g: Perm, p: int, e: Perm) -> bool:
+    """g != e and g^p = e, which for a prime p says g has order p; the
+    powers g^k = g^(k-1) . g are read through one itemgetter of g."""
+    if g == e:
+        return False
+    get = itemgetter(*g)
+    h = g
+    for _ in range(p - 1):
+        h = get(h)
+    return h == e
+
+
+# name -> (group order, generator orders, relators in the generators x, y);
+# the generator orders are prime, so _has_prime_order tests them
 _PRESENTATIONS = {
     # <x, y | x^5, y^2, (xy)^3>
     "A5": (60, (5, 2), (lambda x, y: _power(compose(x, y), 3),)),
@@ -242,14 +257,13 @@ def _witness(group: GroupClosure, orders, relators) -> bool:
     tried is skipped: one x per conjugacy class is tried.
     """
     e = identity(len(group.elements[0]))
-    by_order = {}
-    for g in group.elements:
-        by_order.setdefault(order(g), []).append(g)
+    xs, ys = ([g for g in group.elements if _has_prime_order(g, p, e)]
+              for p in orders)
     tried = set()
-    for x in by_order.get(orders[0], ()):
+    for x in xs:
         if x in tried:
             continue
-        for y in by_order.get(orders[1], ()):
+        for y in ys:
             if all(rel(x, y) == e for rel in relators) and \
                     closure([x, y], cap=group.order + 1).order == group.order:
                 return True

@@ -15,7 +15,9 @@ kernel, in plain Python: it continues the fourth-root branch b(t) of
 waypoints.  A step is accepted when Newton converges and every new root
 is ``tol_match_ratio`` times nearer its own old root than any other old
 root (a nearest/next-nearest ratio test, not a certificate); otherwise it
-is halved.
+is halved.  :mod:`certify` walks the same contours through the body of
+:func:`track_loop`, with a check that fails every step its Rouché tests
+do not prove.
 
 The separation s of the new roots, which the diagnostics need anyway,
 decides that test whenever every root moved at most s / (2 (ratio + 1)):
@@ -36,11 +38,15 @@ _I_POWERS = (1 + 0j, 1j, -1 - 0j, -1j)
 _I_TURNS = _I_POWERS[1:]
 _NEWTON_CAP = 60
 _NEWTON_ITERS = range(_NEWTON_CAP)    # reused: no range() per root
+# the halvings a loop may always spend at the default resolution or finer:
+# what budget_factor allowed at the former default of 1024 steps
+_MIN_HALVINGS = 64
 
 
 class TrackingError(RuntimeError):
-    """A step kept failing the ratio test past the halving depth or the
-    step budget, or the end of the loop could not be matched to its start."""
+    """A step kept failing the ratio test (or the certificate) past the
+    halving depth or the step budget, or the end of the loop could not be
+    matched to its start."""
 
 
 @dataclass(frozen=True)
@@ -50,13 +56,13 @@ class TrackingConfig:
     radius0: float = 0.25
     radius1: float = 0.25
     radius_inf: float = 8.0
-    steps: int = 1024
+    steps: int = 32
     tol_residual: float = 1e-10
     tol_match_ratio: float = 3.0
     tol_lambda: float = 1e-8
-    # a loop may spend at most budget_factor * (waypoint count) committed
-    # steps; halvings beyond that mean the requested resolution is too
-    # coarse and the loop fails rather than silently degrading
+    # a loop may spend budget_factor * (waypoint count) committed steps
+    # (see budget); halvings beyond that mean the requested resolution is
+    # too coarse and the loop fails rather than silently degrading
     max_depth: int = 40
     budget_factor: float = 1.05
     seed: int = 0
@@ -82,6 +88,17 @@ class TrackingConfig:
 
     def with_steps(self, steps: int) -> "TrackingConfig":
         return replace(self, steps=steps)
+
+    def budget(self, waypoints: int) -> int:
+        """The committed steps a loop of ``waypoints`` segments may spend:
+        budget_factor times them, and at the default resolution or finer
+        at least _MIN_HALVINGS more.  Below the default, which only an
+        explicit ``steps`` gives, budget_factor alone holds, so a contour
+        far too coarse still fails loudly."""
+        budget = int(self.budget_factor * waypoints)
+        if self.steps >= TrackingConfig.steps:
+            budget = max(budget, waypoints + _MIN_HALVINGS)
+        return budget
 
 
 @dataclass(frozen=True)
@@ -134,11 +151,23 @@ def loop_entry(spec: LoopSpec) -> tuple:
 
 
 def contour(spec: LoopSpec) -> list:
-    """Waypoints of the loop: tail out, full circle, tail back."""
+    """Waypoints of the loop: tail out, full circle, tail back.
+
+    A finite loop's tail is evenly spaced.  The infinity loop's tail runs
+    from the base point out to |t| = radius_inf, and b(t) changes on the
+    scale of the distance to the finite punctures, which grows along it:
+    its waypoints are spaced in geometric progression of c + s, with s the
+    distance from the base point and c = min(|t0|, |1 - t0|).
+    """
     t0 = complex(spec.base_t)
     center, entry = loop_entry(spec)
     n_tail = max(8, spec.steps // 8)
-    tail = [t0 + (entry - t0) * k / n_tail for k in range(n_tail + 1)]
+    if spec.puncture == "inf":
+        q = abs(entry - t0) / min(abs(t0), abs(1 - t0))
+        tail = [t0 + (entry - t0) * (((1 + q) ** (k / n_tail) - 1) / q)
+                for k in range(n_tail + 1)]
+    else:
+        tail = [t0 + (entry - t0) * k / n_tail for k in range(n_tail + 1)]
 
     theta0 = math.atan2((entry - center).imag, (entry - center).real)
     sign = 1.0 if spec.direction == "ccw" else -1.0
@@ -253,7 +282,8 @@ def _try_step(t_target, b_cur, xs_cur, tol, ratio):
     return b_new, xs_new, residual, separation
 
 
-def track_path(ts, b0, xs0, tol_residual, match_ratio, max_depth, budget):
+def track_path(ts, b0, xs0, tol_residual, match_ratio, max_depth, budget,
+               check=None):
     """Track the branch and roots along the waypoints ``ts``.
 
     Returns (b_end, xs_end, max_residual, min_separation, steps_used,
@@ -263,7 +293,9 @@ def track_path(ts, b0, xs0, tol_residual, match_ratio, max_depth, budget):
     ``max_depth`` or more than ``budget`` committed steps in total.
 
     A failed step pushes its target and then its midpoint onto the
-    waypoint's stack, so the midpoint is tracked first, depth first.
+    waypoint's stack, so the midpoint is tracked first, depth first.  A
+    ``check(t_cur, t_target, result)`` that returns False fails a step the
+    kernel accepted, so the certificate bisects through the same loop.
     """
     b_cur = complex(b0)
     xs_cur = [complex(x) for x in xs0]
@@ -279,6 +311,9 @@ def track_path(ts, b0, xs0, tol_residual, match_ratio, max_depth, budget):
             t_target, depth = stack.pop()
             result = _try_step(t_target, b_cur, xs_cur, tol_residual,
                                match_ratio)
+            if check is not None and result is not None \
+                    and not check(t_cur, t_target, result):
+                result = None
             if result is None:
                 if depth >= max_depth:
                     raise TrackingError(
@@ -305,14 +340,32 @@ def track_path(ts, b0, xs0, tol_residual, match_ratio, max_depth, budget):
 
 
 def track_loop(spec: LoopSpec, cfg: TrackingConfig) -> TrackResult:
-    """Track one loop and return its root permutation with diagnostics."""
+    """Track one loop and return its root permutation with diagnostics.
+
+    It takes exactly (spec, cfg), from which perfbench's tracer names its
+    spans; :mod:`certify` calls :func:`_track_loop` with its check.
+    """
+    return _track_loop(spec, cfg)
+
+
+def _track_loop(spec: LoopSpec, cfg: TrackingConfig,
+                start=None) -> TrackResult:
+    """:func:`track_loop`, with an optional check on every step.
+
+    ``start(b0, xs0)``, when given, receives the base branch and roots and
+    returns the ``check`` for :func:`track_path`.  A checked loop has no
+    step budget: the check, not ``--steps``, sets how far it bisects.
+    """
     b0 = b_from_t(complex(spec.base_t), cfg.branch)
     xs0 = roots5(1.0, b0, tol=cfg.tol_residual)
     ts = contour(spec)
-    budget = int(cfg.budget_factor * (len(ts) - 1))
+    if start is None:
+        check, budget = None, cfg.budget(len(ts) - 1)
+    else:
+        check, budget = start(b0, xs0), math.inf
     b_end, xs_end, max_residual, min_sep, steps_used, depth = track_path(
         ts, b0, xs0, cfg.tol_residual, cfg.tol_match_ratio,
-        cfg.max_depth, budget)
+        cfg.max_depth, budget, check)
 
     lam = b_end / b0
     k_best = min(range(4), key=lambda k: abs(lam - 1j**k))

@@ -12,9 +12,10 @@ The name's prefix before the dot is the check's module, the ``anchor`` is
 the claim in one sentence, and the function returns only what it
 observed.  A check passes iff the observed value equals ``expected``.  The
 checks whose claim is not an equality declare a ``verdict`` instead, a
-function of the observed value: ``monodromy.quality`` and
-``monodromy.identities`` gate on tolerances, ``dessins.main_isomorphism``
-on whether an isomorphism was found up to mirroring.  Two checks are
+function of the observed value: ``monodromy.quality`` gates on
+tolerances and on the Rouché certificate of :mod:`certify`,
+``monodromy.identities`` on tolerances, ``dessins.main_isomorphism`` on
+whether an isomorphism was found up to mirroring.  Two checks are
 info-level findings (the mirror flag of the main isomorphism and the
 weight defect of the quartic-power expression), whose verdict is "info":
 they document conventions rather than gate correctness.  A check that
@@ -88,6 +89,13 @@ class Context:
     @property
     def triple(self):
         return self._get("triple", lambda: monodromy_triple(self.config))
+
+    @property
+    def certificate(self):
+        # imported here, so that the import of the package, which every
+        # command pays, leaves it out for the commands that never use it
+        from .certify import certify
+        return self._get("certificate", lambda: certify(self.config))
 
     @property
     def sheet(self):
@@ -411,23 +419,34 @@ def check_monodromy_group(ctx):
 
 
 # monodromy_triple raises unless the direct infinity track has pi_inf's
-# cycle type, so the verdict need not repeat that condition
+# cycle type, so the verdict need not repeat that condition; the
+# certificate raises unless it proves every loop
 @check("monodromy.quality",
        "tracking residuals, branch drift and the product identity "
-       "meet their tolerances",
+       "meet their tolerances, and a Rouché certificate proves the "
+       "tracked permutations",
        expected={"max_residual": "< 1e-9", "max_lambda4_error": "< 1e-8",
                  "product_is_identity": True,
-                 "inf_direct_equals_composite": "cross-check"},
+                 "inf_direct_equals_composite": "cross-check",
+                 "certified_steps": "TrackingConfig.steps, whatever --steps",
+                 "tracked_equals_certified": True},
        verdict=lambda got: (got["max_residual"] < 1e-9
                             and got["max_lambda4_error"] < 1e-8
-                            and got["product_is_identity"]))
+                            and got["product_is_identity"]
+                            and got["tracked_equals_certified"]))
 def check_monodromy_quality(ctx):
     t = ctx.triple
+    cert = ctx.certificate
     return {"max_residual": max(r.max_residual for r in t.loops.values()),
             "max_lambda4_error": max(abs(r.lam**4 - 1)
                                      for r in t.loops.values()),
             "product_is_identity": t.product_is_identity(),
-            "inf_direct_equals_composite": t.inf_exact}
+            "inf_direct_equals_composite": t.inf_exact,
+            "certified_steps": TrackingConfig.steps,
+            "rouche_margin": {str(p): c.margin for p, c in cert.items()},
+            "bisections": {str(p): c.bisections for p, c in cert.items()},
+            "tracked_equals_certified": all(
+                t.loops[p].pi == c.pi for p, c in cert.items())}
 
 
 @check("monodromy.doubling_invariance",

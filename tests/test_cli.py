@@ -171,6 +171,39 @@ def test_monodromy_json_export(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_all_at_the_old_default_passes(tmp_path, capsys):
+    # the resolution the certificate replaced still passes every check, and
+    # the certificate keeps its own resolution
+    out = tmp_path / "report.json"
+    assert main(["verify-all", "--steps", "1024", "--json", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["config"]["steps"] == 1024
+    quality = next(c for c in report["checks"]
+                   if c["name"] == "monodromy.quality")
+    assert quality["observed"]["certified_steps"] == TrackingConfig.steps
+    assert quality["observed"]["tracked_equals_certified"] is True
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("flags", [["--tol-match-ratio", "8"],
+                                   ["--only", "monodromy",
+                                    "--radius-inf", "1000"]])
+def test_stricter_tracking_flags_pass_at_the_default(flags, capsys):
+    # both halve the infinity loop at the default resolution, within the
+    # budget's floor of 64 halvings
+    assert main(["verify-all", *flags]) == 0
+    capsys.readouterr()
+
+
+def test_steps_help_gives_the_default(capsys):
+    for command in ("verify-all", "monodromy", "export"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"waypoints per loop circle (default {TrackingConfig().steps})" \
+            in text
+
+
 def test_monodromy_too_coarse_exits_1(capsys):
     assert main(["monodromy", "--steps", "4"]) == 1
     printed = capsys.readouterr().out
@@ -292,12 +325,13 @@ def test_verify_all_same_under_optimize(tmp_path):
 
 def test_verify_all_imports_no_numpy():
     # the package has no runtime dependency: a cold run of every check
-    # must not pull numpy in
+    # must not pull numpy in, nor the mpmath the certificate's tests use
     code = ("import sys\n"
             "from bringcover import verify\n"
             "verify.run_checks()\n"
-            "print('numpy' in sys.modules)\n")
+            "print([m for m in ('numpy', 'mpmath', 'sympy')"
+            " if m in sys.modules])\n")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"

@@ -294,3 +294,27 @@ def test_identify_work_guard(monkeypatch, named_groups):
     monkeypatch.setattr(perms, "compose", counting_compose)
     assert identify_closure(grp) == "S5"
     assert calls <= 1000, calls
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_prime_order_test_matches_order(p):
+    s5 = symmetric_group(5)
+    e = s5.elements[0]
+    for g in s5.elements:
+        assert perms._has_prime_order(g, p, e) == (order(g) == p)
+
+
+def test_identify_takes_no_cycle_decomposition(monkeypatch, named_groups):
+    # the generator orders 2 and 5 are tested as g != e and g^p = e; taking
+    # every element's order by its cycles was most of naming the union
+    calls = 0
+    real = perms.cycles
+
+    def counting_cycles(p):
+        nonlocal calls
+        calls += 1
+        return real(p)
+
+    monkeypatch.setattr(perms, "cycles", counting_cycles)
+    assert identify_closure(named_groups["union"][0]) == "S5"
+    assert calls == 0

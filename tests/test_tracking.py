@@ -251,8 +251,13 @@ def test_too_coarse_fails():
         monodromy_triple(TrackingConfig(steps=4))
 
 
+# the default contours need no halving even at 8 steps per circle; a
+# ratio of 8 rejects enough steps of the infinity loop to halve 7 times
+HALVING_CFG = TrackingConfig(tol_match_ratio=8.0)
+
+
 def test_coarse_but_rescuable_uses_halving():
-    cfg = TrackingConfig(steps=64)
+    cfg = HALVING_CFG
     t = monodromy_triple(cfg)
     base_steps = len(contour(loop_spec(cfg, "inf"))) - 1
     assert t.loops["inf"].steps_used > base_steps  # halving really ran
@@ -300,6 +305,20 @@ def test_sheet_requires_full_group():
         sheet_constellation(bad)
 
 
+def test_budget_floor_holds_from_the_default_resolution():
+    # from the default resolution up a loop may halve 64 steps, what
+    # budget_factor allowed at the former default of 1024; below it the
+    # factor alone holds
+    for steps in (TrackingConfig.steps, 64, 256):
+        waypoints = steps + 2 * max(8, steps // 8)
+        assert TrackingConfig(steps=steps).budget(waypoints) == waypoints + 64
+    for steps in (1024, 4096):
+        waypoints = steps + 2 * (steps // 8)
+        assert TrackingConfig(steps=steps).budget(waypoints) == \
+            int(1.05 * waypoints)
+    assert TrackingConfig(steps=4).budget(20) == 21
+
+
 def test_kernel_budget_error_message():
     spec = loop_spec(CFG, 0)
     ts = contour(spec)
@@ -332,15 +351,16 @@ def test_contour_circle_matches_reference(puncture, direction, steps):
 
 
 def test_diagnostics_without_halving():
+    steps = TrackingConfig().steps
     for res in monodromy_triple(TrackingConfig()).loops.values():
         diag = res.diagnostics()
         assert diag["max_halving_depth"] == 0
         assert diag["steps_used"] == diag["waypoints"]
-        assert res.waypoints == 1024 + 2 * (1024 // 8)
+        assert res.waypoints == steps + 2 * max(8, steps // 8)
 
 
 def test_diagnostics_report_halving():
-    res = monodromy_triple(TrackingConfig(steps=64)).loops["inf"]
+    res = monodromy_triple(HALVING_CFG).loops["inf"]
     assert res.max_halving_depth >= 1
     assert res.steps_used > res.waypoints
 
@@ -438,10 +458,10 @@ def _recorded_steps(monkeypatch, cfg):
 
 
 def test_try_step_outcomes_match_reference(monkeypatch):
-    # at 32 steps per circle the default contours take steps the
+    # with a ratio of 8 at 32 steps per circle the contours take steps the
     # separation bound accepts, steps only the 20-distance test accepts,
     # and steps that are halved
-    cfg = TrackingConfig(steps=32)
+    cfg = HALVING_CFG
     seen = {"bound": 0, "full test": 0, "rejected": 0}
     for args, result in _recorded_steps(monkeypatch, cfg):
         assert result == reference_try_step(*args)
@@ -474,9 +494,8 @@ def test_try_step_rejects_between_bound_and_ratio():
     assert reference_try_step(*args) is None
 
 
-def test_step_work_guard(monkeypatch):
-    # the separation bound decides every step of a default loop, so a
-    # committed step computes 15 root distances, not 35
+def _abs_calls_per_step(monkeypatch, steps):
+    """abs calls per committed step of the loop around 1."""
     calls = 0
 
     def counting_abs(z):
@@ -485,6 +504,19 @@ def test_step_work_guard(monkeypatch):
         return abs(z)
 
     monkeypatch.setattr(tracking, "abs", counting_abs, raising=False)
-    cfg = TrackingConfig()
+    cfg = TrackingConfig(steps=steps)
     res = track_loop(loop_spec(cfg, 1), cfg)
-    assert calls <= 45 * res.steps_used, calls / res.steps_used
+    return calls / res.steps_used
+
+
+def test_step_work_guard(monkeypatch):
+    # the separation bound decides every step of the loop around 1, so a
+    # committed step computes 15 root distances, not 35; at 1024 steps per
+    # circle the rest of a step takes below 30 abs calls
+    assert _abs_calls_per_step(monkeypatch, 1024) <= 45
+
+
+def test_step_work_guard_at_the_default(monkeypatch):
+    # the same guard at the default resolution, where Newton needs more
+    # iterations per step: about 31 abs calls besides the 15 distances
+    assert _abs_calls_per_step(monkeypatch, TrackingConfig.steps) <= 50
