@@ -1,28 +1,48 @@
 """Dessins d'enfants of the orientation cover of the 5-pointed real moduli
-space, checked against the 4-icosahedron and the Bring-curve Belyi map."""
+space, checked against the 4-icosahedron and the Bring-curve Belyi map.
+
+The layers load on first use: ``import bringcover`` imports none of them,
+and a public name or layer module is imported when it is first looked up
+(PEP 562), so a process pays only for the layers it touches.
+"""
 
 __version__ = "0.1.0"
 
-from .cells import build_complex5, canonical_class, enumerate_cells, refinements, twist
-from .cover import (
-    cover_to_dessin,
-    euler_characteristic,
-    is_orientable,
-    orientation_cover,
-    surface_from_cells,
-)
-from .dessins import (
-    Dessin,
-    automorphism_group,
-    build_i4,
-    build_icosahedron,
-    isomorphic,
-)
-from .monodromy import MonodromyTriple, monodromy_triple, sheet_constellation
-from .perms import closure, identify_closure, regular_representation
-from .quintic import b_from_t, f_value, roots5, verify_identities
-from .tracking import LoopSpec, TrackingConfig, TrackingError, TrackResult, track_loop
-from .verify import run_checks
+# public name -> the layer module that defines it
+_HOMES = {
+    "build_complex5": "cells",
+    "canonical_class": "cells",
+    "enumerate_cells": "cells",
+    "refinements": "cells",
+    "twist": "cells",
+    "cover_to_dessin": "cover",
+    "euler_characteristic": "cover",
+    "is_orientable": "cover",
+    "orientation_cover": "cover",
+    "surface_from_cells": "cover",
+    "Dessin": "dessins",
+    "automorphism_group": "dessins",
+    "build_i4": "dessins",
+    "build_icosahedron": "dessins",
+    "isomorphic": "dessins",
+    "MonodromyTriple": "monodromy",
+    "monodromy_triple": "monodromy",
+    "sheet_constellation": "monodromy",
+    "closure": "perms",
+    "identify_closure": "perms",
+    "regular_representation": "perms",
+    "b_from_t": "quintic",
+    "f_value": "quintic",
+    "roots5": "quintic",
+    "verify_identities": "quintic",
+    "LoopSpec": "tracking",
+    "TrackingConfig": "tracking",
+    "TrackingError": "tracking",
+    "TrackResult": "tracking",
+    "track_loop": "tracking",
+    "run_checks": "verify",
+}
+_LAYERS = frozenset(_HOMES.values())
 
 __all__ = [
     "Dessin",
@@ -57,3 +77,20 @@ __all__ = [
     "twist",
     "verify_identities",
 ]
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    if name in _HOMES:
+        value = getattr(import_module(f".{_HOMES[name]}", __name__), name)
+    elif name in _LAYERS:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_HOMES, *_LAYERS})

@@ -22,7 +22,7 @@ miss, and ``enumerate_cells`` fills the index with every class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 
@@ -40,26 +40,28 @@ def _chord_admissible(n: int, chord) -> bool:
     return 2 <= spread <= n - 2
 
 
-@dataclass(frozen=True, order=True)
-class LabeledPolygon:
-    n: int
-    labels: tuple
-    diags: tuple  # sorted tuple of (a, b) corner pairs, a < b
+class LabeledPolygon(namedtuple("LabeledPolygon", "n labels diags")):
+    """An n-gon with side labels and sorted non-crossing diagonals
+    ``diags``, a tuple of (a, b) corner pairs with a < b.  Compared,
+    ordered and hashed as the tuple (n, labels, diags)."""
 
-    def __post_init__(self):
-        if self.n < 3:
+    __slots__ = ()
+
+    def __new__(cls, n: int, labels: tuple, diags: tuple):
+        if n < 3:
             raise ValueError("polygon needs at least 3 sides")
-        if sorted(self.labels) != list(range(1, self.n + 1)):
-            raise ValueError(f"labels must be a permutation of 1..{self.n}")
-        if tuple(sorted(self.diags)) != self.diags:
+        if sorted(labels) != list(range(1, n + 1)):
+            raise ValueError(f"labels must be a permutation of 1..{n}")
+        if tuple(sorted(diags)) != diags:
             raise ValueError("diags must be stored sorted")
-        for c in self.diags:
-            if not _chord_admissible(self.n, c):
-                raise ValueError(f"inadmissible chord {c} in an {self.n}-gon")
-        for i, c1 in enumerate(self.diags):
-            for c2 in self.diags[i + 1:]:
+        for c in diags:
+            if not _chord_admissible(n, c):
+                raise ValueError(f"inadmissible chord {c} in an {n}-gon")
+        for i, c1 in enumerate(diags):
+            for c2 in diags[i + 1:]:
                 if _chords_cross(c1, c2):
                     raise ValueError(f"crossing chords {c1} and {c2}")
+        return super().__new__(cls, n, labels, diags)
 
     def to_text(self) -> str:
         labels = ",".join(map(str, self.labels))
@@ -121,18 +123,16 @@ def _normal_form(labels, diags) -> tuple:
                                 for a, b in moved))
 
 
-@dataclass(frozen=True, order=True)
-class CellClass:
-    """A cell, held by its canonical representative: the lexicographic
-    minimum of (labels, diags) over the whole orbit.
+class CellClass(namedtuple("CellClass", "rep orbit_size")):
+    """A cell, held by its canonical representative ``rep``: the
+    lexicographic minimum of (labels, diags) over the whole orbit.
 
     The minimum puts label 1 on side 0, so it is the least of the class's
     dihedral normal forms; each normal form stands for 2n keys, so
     ``orbit_size`` is 2n times their number.
     """
 
-    rep: LabeledPolygon
-    orbit_size: int
+    __slots__ = ()
 
     @property
     def dimension(self) -> int:
@@ -242,21 +242,19 @@ def refinements(c: CellClass) -> list:
 PENTAGON_SIDE_ORDER = ((0, 2), (2, 4), (1, 4), (1, 3), (0, 3))
 
 
-@dataclass(frozen=True)
-class CellComplexData:
+class CellComplexData(namedtuple(
+        "CellComplexData",
+        "faces edges vertices face_sides face_corners")):
     """Incidence structure of the n=5 cell complex.
 
-    ``face_sides[f][t]`` is the edge class id of side t of face f;
-    ``face_corners[f][t]`` the vertex class id of the corner between
-    sides t and t+1 (mod 5).  Side t therefore runs from corner t-1 to
-    corner t in the face's reference direction.
+    ``faces``, ``edges`` and ``vertices`` are the CellClass tuples of
+    dimension 2, 1 and 0.  ``face_sides[f][t]`` is the edge class id of
+    side t of face f; ``face_corners[f][t]`` the vertex class id of the
+    corner between sides t and t+1 (mod 5).  Side t therefore runs from
+    corner t-1 to corner t in the face's reference direction.
     """
 
-    faces: tuple        # CellClass, dimension 2
-    edges: tuple        # CellClass, dimension 1
-    vertices: tuple     # CellClass, dimension 0
-    face_sides: tuple   # per face: 5 edge ids
-    face_corners: tuple  # per face: 5 vertex ids
+    __slots__ = ()
 
 
 def build_complex5() -> CellComplexData:

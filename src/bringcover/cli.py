@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from . import __version__, cells, cover, verify
 from .tracking import TrackingConfig, TrackingError, loop_entry, loop_spec
@@ -57,7 +56,7 @@ def _config_from(args) -> TrackingConfig:
     overrides = {k: getattr(args, k) for k in _TRACKING_FLAGS
                  if getattr(args, k) is not None}
     try:
-        cfg = replace(TrackingConfig(), **overrides)
+        cfg = TrackingConfig(**overrides)
         for puncture in (0, 1, "inf"):
             loop_entry(loop_spec(cfg, puncture))
     except ValueError as exc:

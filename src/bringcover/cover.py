@@ -16,18 +16,19 @@ gluing, and land on the corner where the partner face-side arrives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .cells import CellComplexData
 from .dessins import Dessin
 
 
-@dataclass(frozen=True)
-class SurfaceComplex:
-    n_vertices: int
-    face_edges: tuple    # per face: cyclic tuple of edge ids
-    face_corners: tuple  # per face: corner t (between sides t, t+1) vertex id
-    edge_uses: dict      # edge id -> ((f, t), (f, t))
+class SurfaceComplex(namedtuple(
+        "SurfaceComplex", "n_vertices face_edges face_corners edge_uses")):
+    """``face_edges``: per face, the cyclic tuple of its edge ids;
+    ``face_corners``: per face, the vertex id of corner t (between sides t
+    and t+1); ``edge_uses``: edge id -> its two uses ((f, t), (f, t))."""
+
+    __slots__ = ()
 
     @property
     def n_faces(self) -> int:
@@ -125,9 +126,9 @@ def is_orientable(s: SurfaceComplex) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class OrientedCover:
-    """The orientation double cover of a surface complex.
+class OrientedCover(namedtuple(
+        "OrientedCover", "base components vertex_corners")):
+    """The orientation double cover of the surface complex ``base``.
 
     Oriented face 2f + [o == -1] is face f with orientation o; cover edge
     2e + [o1 == -1] is the lift of edge e whose first base use (f1, t1)
@@ -136,9 +137,7 @@ class OrientedCover:
     corner walk.
     """
 
-    base: SurfaceComplex
-    components: int
-    vertex_corners: tuple
+    __slots__ = ()
 
     @property
     def n_faces(self) -> int:

@@ -20,7 +20,7 @@ that they form a group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import eq
 
 from .perms import (
@@ -38,11 +38,7 @@ from .perms import (
 )
 
 
-@dataclass(frozen=True)
-class Passport:
-    black: tuple
-    white: tuple
-    face: tuple
+Passport = namedtuple("Passport", "black white face")
 
 
 class Dessin:
@@ -236,11 +232,10 @@ class Dessin:
         return "\n".join(out) + "\n"
 
 
-@dataclass(frozen=True)
-class IsoMap:
+class IsoMap(namedtuple("IsoMap", "mapping")):
     """Dart bijection h with h.sigma = sigma'.h for both rotations."""
 
-    mapping: tuple
+    __slots__ = ()
 
     def is_valid(self, src: Dessin, dst: Dessin) -> bool:
         h = self.mapping

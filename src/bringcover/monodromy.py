@@ -9,7 +9,7 @@ representation.  The three loop permutations must have cycle types
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .dessins import Dessin
@@ -25,14 +25,16 @@ from .perms import (
 from .tracking import TrackingConfig, loop_spec, track_loop
 
 
-@dataclass(frozen=True)
-class MonodromyTriple:
-    pi0: tuple
-    pi1: tuple
-    pi_inf: tuple
-    loops: dict          # puncture -> TrackResult (pi_inf's is the direct track)
-    inf_exact: bool      # direct infinity track equals the composite inverse
-    order_flipped: bool  # composite taken as (pi1 . pi0)^-1 instead of (pi0 . pi1)^-1
+class MonodromyTriple(namedtuple("MonodromyTriple", (
+        "pi0",
+        "pi1",
+        "pi_inf",
+        "loops",          # puncture -> TrackResult (pi_inf's is the direct track)
+        "inf_exact",      # direct infinity track equals the composite inverse
+        "order_flipped",  # composite taken as (pi1 . pi0)^-1 instead of (pi0 . pi1)^-1
+))):
+    # no __slots__: ``group`` is cached in the instance __dict__, outside
+    # the field tuple that equality and hashing see
 
     def product_is_identity(self) -> bool:
         if self.order_flipped:

@@ -26,7 +26,8 @@ g^p = e in itemgetter compositions, without a cycle decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from functools import cached_property
 from itertools import chain
 from math import factorial, lcm
 from operator import itemgetter
@@ -128,30 +129,29 @@ def parse_cycle_string(s: str, degree: int) -> Perm:
     return from_cycles(degree, cycs)
 
 
-@dataclass(frozen=True)
-class GroupClosure:
+class GroupClosure(namedtuple("GroupClosure",
+                              "generators elements cap_exceeded",
+                              defaults=(False,))):
     """The group generated by a list of permutations of a common degree.
 
     ``elements`` is sorted lexicographically, which fixes the canonical
     enumeration used by :func:`regular_representation`.  When the closure
     would exceed ``cap`` the enumeration stops and ``cap_exceeded`` is set;
     ``elements`` is then incomplete and ``order`` meaningless.
-    """
 
-    generators: tuple
-    elements: tuple
-    cap_exceeded: bool = False
-    _index: dict = field(default=None, repr=False, compare=False)
+    No ``__slots__``: the element index is cached in the instance
+    ``__dict__``, outside the field tuple that equality and hashing see.
+    """
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def _index(self) -> dict:
+        return {p: i for i, p in enumerate(self.elements)}
+
     def index_of(self, g: Perm) -> int:
-        if self._index is None:
-            object.__setattr__(
-                self, "_index", {p: i for i, p in enumerate(self.elements)}
-            )
         try:
             return self._index[tuple(g)]
         except KeyError:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 INF = complex("inf")
 
@@ -87,16 +87,17 @@ def power_sums(roots, upto: int = 3) -> list:
     return [sum(x**k for x in roots) for k in range(1, upto + 1)]
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(namedtuple("IdentityReport", (
+        "samples",
+        "max_power_sum",         # worst |p_k| / scale, k = 1..3
+        "max_identity_error",    # worst rel. err of 1 - 1/f vs -3125 b^4/(256 a^5)
+        "max_symmetric_error",   # worst rel. err of the root-symmetric rewrite
+        "printed_expression_deviation",  # how far the quartic-power variant strays
+        "printed_expression_exponent",   # its weight under (a, b) -> (l^4 a, l^5 b)
+))):
     """Numerical findings over a batch of random coefficient samples."""
 
-    samples: int
-    max_power_sum: float          # worst |p_k| / scale, k = 1..3
-    max_identity_error: float     # worst rel. err of 1 - 1/f vs -3125 b^4/(256 a^5)
-    max_symmetric_error: float    # worst rel. err of the root-symmetric rewrite
-    printed_expression_deviation: float  # how far the quartic-power variant strays
-    printed_expression_exponent: int     # its weight under (a, b) -> (l^4 a, l^5 b)
+    __slots__ = ()
 
 
 def _sample_coeffs(rng) -> tuple:

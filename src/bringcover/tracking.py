@@ -29,6 +29,7 @@ cross distances are computed only for a step the bound does not decide.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 from .quintic import b_from_t, roots5
@@ -85,6 +86,19 @@ class TrackingConfig:
         if not 0 < self.base_t < 1:
             raise ValueError("base_t must lie strictly between 0 and 1, "
                              f"got {self.base_t!r}")
+        # otherwise a bad branch fails only when a loop starts and a nan
+        # budget_factor in the middle of tracking, while a negative
+        # max_depth, meaningless, would act as 0 (no halving)
+        if not (isinstance(self.branch, int) and 0 <= self.branch <= 3):
+            raise ValueError("branch must be an int in 0..3, "
+                             f"got {self.branch!r}")
+        if not (isinstance(self.max_depth, int) and self.max_depth >= 0):
+            raise ValueError("max_depth must be an int >= 0, "
+                             f"got {self.max_depth!r}")
+        if not (math.isfinite(self.budget_factor)
+                and self.budget_factor >= 1):
+            raise ValueError("budget_factor must be a finite number >= 1, "
+                             f"got {self.budget_factor!r}")
 
     def with_steps(self, steps: int) -> "TrackingConfig":
         return replace(self, steps=steps)
@@ -178,16 +192,17 @@ def contour(spec: LoopSpec) -> list:
     return tail + circle + tail[-2::-1]
 
 
-@dataclass(frozen=True)
-class TrackResult:
-    pi: tuple                 # degree-5 permutation: root j lands on pi[j]
-    lam: complex              # raw ratio b_end / b_start
-    lam_power: int            # lam is the lam_power-th power of i
-    max_residual: float
-    min_separation: float
-    steps_used: int
-    waypoints: int            # len(contour) - 1: steps_used without halving
-    max_halving_depth: int    # deepest halving level that committed a step
+class TrackResult(namedtuple("TrackResult", (
+        "pi",                 # degree-5 permutation: root j lands on pi[j]
+        "lam",                # raw ratio b_end / b_start
+        "lam_power",          # lam is the lam_power-th power of i
+        "max_residual",
+        "min_separation",
+        "steps_used",
+        "waypoints",          # len(contour) - 1: steps_used without halving
+        "max_halving_depth",  # deepest halving level that committed a step
+))):
+    __slots__ = ()
 
     def diagnostics(self) -> dict:
         return {

@@ -92,8 +92,8 @@ class Context:
 
     @property
     def certificate(self):
-        # imported here, so that the import of the package, which every
-        # command pays, leaves it out for the commands that never use it
+        # imported here, not with this module, which every command loads
+        # through the CLI: only the runs that gate the monodromy need it
         from .certify import certify
         return self._get("certificate", lambda: certify(self.config))
 

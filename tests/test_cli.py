@@ -335,3 +335,21 @@ def test_verify_all_imports_no_numpy():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cold_import_loads_only_the_layers_used():
+    # every command is a cold process: `import bringcover` must load no
+    # layer, and a cells-only process (the census) must load cells alone,
+    # with value types that need no dataclasses
+    code = ("import sys\n"
+            "def layers():\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m.startswith('bringcover.'))\n"
+            "import bringcover\n"
+            "print(layers())\n"
+            "from bringcover import cells\n"
+            "print(layers(), 'dataclasses' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "['bringcover.cells'] False"]

@@ -45,3 +45,29 @@ def test_private_helpers_have_callers():
                 if total[node.name]
                 == sum(n == node.name for n in _references(node))]
     assert uncalled == []
+
+
+def test_lazy_table_is_the_public_api():
+    # the package resolves exactly its public names, each from a layer
+    assert sorted(bringcover._HOMES) == sorted(bringcover.__all__)
+    assert len(set(bringcover.__all__)) == len(bringcover.__all__)
+    assert all((SRC / f"{home}.py").is_file()
+               for home in bringcover._HOMES.values())
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_only_config_modules_import_dataclasses():
+    # the value types are namedtuples, which generate no code at import;
+    # dataclasses stays with the configs that dataclasses.replace/asdict
+    # act on (TrackingConfig, LoopSpec, CheckDef)
+    users = sorted(path.name for path in SRC.glob("*.py")
+                   if "dataclasses" in _imported_modules(
+                       ast.parse(path.read_text())))
+    assert users == ["tracking.py", "verify.py"]

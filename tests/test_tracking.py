@@ -426,12 +426,19 @@ def test_config_rejects_bad_match_ratio(ratio):
         dataclasses.replace(CFG, tol_match_ratio=ratio)
 
 
-@pytest.mark.parametrize("name", ["tol_residual", "tol_lambda"])
-@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8])
-def test_config_rejects_bad_tolerance(name, tol):
-    # a nan tolerance would switch its check off
+@pytest.mark.parametrize("value, name", [
+    *((tol, name) for name in ("tol_residual", "tol_lambda")
+      for tol in (math.nan, math.inf, 0.0, -1e-8)),
+    (7, "branch"), (-1, "branch"), (1.0, "branch"),
+    (-1, "max_depth"), (2.5, "max_depth"),
+    (math.nan, "budget_factor"), (math.inf, "budget_factor"),
+    (0.5, "budget_factor"),
+])
+def test_config_rejects_bad_tolerance(value, name):
+    # a nan tolerance would switch its check off; a bad branch would fail
+    # only when a loop starts, a nan budget_factor only mid-track
     with pytest.raises(ValueError, match=name):
-        dataclasses.replace(CFG, **{name: tol})
+        dataclasses.replace(CFG, **{name: value})
 
 
 @pytest.mark.parametrize("base_t", [0.0, 1.0, 1.5, -0.5, math.nan])
