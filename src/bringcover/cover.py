@@ -12,6 +12,18 @@ in the reference direction.  An oriented face (f, +1) walks its boundary
 in the reference direction, (f, -1) walks it backwards.  Rotating around
 a vertex means: take the side leaving the current corner, cross its
 gluing, and land on the corner where the partner face-side arrives.
+
+One labeling of the oriented faces 2f + [o == -1] answers the global
+questions: its labels are the cover's components.  A base component lifts
+to one of them if non-orientable, to two if orientable, so the base is
+connected iff there is 1 label, or 2 that keep face 0's orientations apart
+(two disjoint non-orientable pieces also give 2, sharing face 0's).  It is
+then orientable iff face 0's orientations carry different labels.
+
+Each corner (f, o, c) of cover vertex v gives the dart (cover edge leaving
+it, v).  A cover edge leaves one corner at each of its ends, so there are
+2 * n_edges corners; if their keys are pairwise distinct, every cover edge
+has two distinct ends and no vertex meets a dart twice.
 """
 
 from __future__ import annotations
@@ -84,46 +96,39 @@ def _gluing_sign(s: SurfaceComplex, e: int) -> int:
     return -d1 * d2
 
 
-def _face_components(s: SurfaceComplex) -> int:
-    seen = [False] * s.n_faces
-    comps = 0
-    for start in range(s.n_faces):
-        if seen[start]:
-            continue
-        comps += 1
-        stack = [start]
-        seen[start] = True
-        while stack:
-            f = stack.pop()
-            for e in s.face_edges[f]:
-                for g, _ in s.edge_uses[e]:
-                    if not seen[g]:
-                        seen[g] = True
-                        stack.append(g)
-    return comps
+def _oface(f: int, o: int) -> int:
+    return 2 * f + (0 if o == 1 else 1)
+
+
+def _face_labels(s: SurfaceComplex) -> list:
+    """Label of each oriented face 2f + [o == -1]: two oriented faces share
+    a label iff coherent gluings connect them, i.e. iff they lie in one
+    component of the orientation cover."""
+    parent = list(range(2 * s.n_faces))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for e, ((f1, _), (f2, _)) in s.edge_uses.items():
+        sign = _gluing_sign(s, e)
+        for o1 in (1, -1):
+            a, b = find(_oface(f1, o1)), find(_oface(f2, o1 * sign))
+            if a != b:
+                parent[a] = b
+    return [find(x) for x in range(2 * s.n_faces)]
 
 
 def is_orientable(s: SurfaceComplex) -> bool:
-    """Propagate face orientations across gluings; orientable iff no
-    contradiction arises."""
-    if _face_components(s) != 1:
+    """Orientable iff the two orientations of face 0 are not connected by
+    coherent gluings."""
+    label = _face_labels(s)
+    comps = len(set(label))
+    if not (comps == 1 or comps == 2 and label[0] != label[1]):
         raise ValueError("orientability needs a connected complex")
-    orient = [0] * s.n_faces
-    orient[0] = 1
-    stack = [0]
-    while stack:
-        f = stack.pop()
-        for e in s.face_edges[f]:
-            sign = _gluing_sign(s, e)
-            (f1, _), (f2, _) = s.edge_uses[e]
-            g = f2 if f == f1 else f1
-            want = orient[f] * sign
-            if orient[g] == 0:
-                orient[g] = want
-                stack.append(g)
-            elif orient[g] != want:
-                return False
-    return True
+    return label[0] != label[1]
 
 
 class OrientedCover(namedtuple(
@@ -177,18 +182,11 @@ class OrientedCover(namedtuple(
         }
 
 
-def _oface(f: int, o: int) -> int:
-    return 2 * f + (0 if o == 1 else 1)
-
-
-def _cover_edge_id(s: SurfaceComplex, f: int, t: int, o: int) -> int:
-    """Cover edge containing side t of oriented face (f, o)."""
+def _out_edge(s: SurfaceComplex, f: int, o: int, c: int) -> int:
+    """Cover edge leaving corner c of oriented face (f, o)."""
+    t = (c + 1) % len(s.face_edges[f]) if o == 1 else c
     e = s.face_edges[f][t]
-    uses = s.edge_uses[e]
-    if (f, t) == uses[0]:
-        o1 = o
-    else:
-        o1 = o * _gluing_sign(s, e)
+    o1 = o if (f, t) == s.edge_uses[e][0] else o * _gluing_sign(s, e)
     return 2 * e + (0 if o1 == 1 else 1)
 
 
@@ -216,24 +214,6 @@ def orientation_cover(s: SurfaceComplex) -> OrientedCover:
     Connected iff the base is non-orientable; an orientable base yields
     the two disjoint oriented copies.
     """
-    # components of the oriented face graph
-    parent = list(range(2 * s.n_faces))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in s.edge_uses:
-        sign = _gluing_sign(s, e)
-        (f1, _), (f2, _) = s.edge_uses[e]
-        for o1 in (1, -1):
-            a, b = find(_oface(f1, o1)), find(_oface(f2, o1 * sign))
-            if a != b:
-                parent[a] = b
-    components = len({find(x) for x in range(2 * s.n_faces)})
-
     # cover vertices by corner walking
     seen = set()
     vertex_corners = []
@@ -251,7 +231,7 @@ def orientation_cover(s: SurfaceComplex) -> OrientedCover:
                 if cur != cyc[0]:
                     raise RuntimeError("corner walk did not close up")
                 vertex_corners.append(tuple(cyc))
-    return OrientedCover(base=s, components=components,
+    return OrientedCover(base=s, components=len(set(_face_labels(s))),
                          vertex_corners=tuple(vertex_corners))
 
 
@@ -264,26 +244,20 @@ def cover_to_dessin(cov: OrientedCover, orientation: int = 1) -> Dessin:
     """
     if not cov.is_connected:
         raise ValueError("the cover is disconnected; no single dessin")
+    if orientation not in (1, -1):
+        raise ValueError(f"orientation must be 1 or -1, not {orientation!r}")
     s = cov.base
 
-    vertex_of = {}
-    for v, cyc in enumerate(cov.vertex_corners):
-        for corner in cyc:
-            vertex_of[corner] = v
-
-    # darts: (cover edge, cover vertex endpoint), numbered in sorted order
-    dart_keys = set()
-    for f in range(s.n_faces):
-        m = len(s.face_edges[f])
-        for o in (1, -1):
-            for t in range(m):
-                ce = _cover_edge_id(s, f, t, o)
-                for c in ((t - 1) % m, t):
-                    dart_keys.add((ce, vertex_of[(f, o, c)]))
-    dart_id = {key: i for i, key in enumerate(sorted(dart_keys))}
+    # darts: (cover edge leaving the corner, cover vertex), one per corner
+    # of each rotation, numbered in sorted order
+    rotations = [[(_out_edge(s, f, o, c), v) for f, o, c in cyc]
+                 for v, cyc in enumerate(cov.vertex_corners)]
+    keys = [key for rot in rotations for key in rot]
+    dart_id = {key: i for i, key in enumerate(sorted(set(keys)))}
     n = len(dart_id)
-    if n != 2 * cov.n_edges:
-        raise RuntimeError("every cover edge must have two distinct ends")
+    if not n == len(keys) == 2 * cov.n_edges:
+        raise RuntimeError(f"{len(keys)} corners give {n} distinct darts; "
+                           f"the cover needs {2 * cov.n_edges}")
 
     sigma1 = [0] * n
     by_edge = {}
@@ -296,16 +270,11 @@ def cover_to_dessin(cov: OrientedCover, orientation: int = 1) -> Dessin:
         sigma1[pair[1]] = pair[0]
 
     sigma0 = [0] * n
-    for v, cyc in enumerate(cov.vertex_corners):
-        walk = cyc if orientation == 1 else tuple(reversed(cyc))
-        ids = []
-        for f, o, c in walk:
-            t_out = (c + 1) % len(s.face_edges[f]) if o == 1 else c
-            ids.append(dart_id[(_cover_edge_id(s, f, t_out, o), v)])
-        if len(set(ids)) != len(ids):
-            raise RuntimeError(f"vertex {v} meets a dart twice")
+    for rot in rotations:
+        ids = [dart_id[key] for key in rot]
+        if orientation == -1:
+            ids.reverse()
         for i, d in enumerate(ids):
             sigma0[d] = ids[(i + 1) % len(ids)]
 
     return Dessin(sigma0, sigma1)
-

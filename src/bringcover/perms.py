@@ -95,15 +95,18 @@ def order(p: Perm) -> int:
 
 
 def from_cycles(n: int, cycs) -> Perm:
-    """Permutation of degree n from an iterable of cycles (tuples of points)."""
+    """Permutation of degree n from an iterable of disjoint cycles (tuples
+    of points in [0, n)); a point out of range or repeated is an error."""
     images = list(range(n))
+    seen = set()
     for cyc in cycs:
         for i, x in enumerate(cyc):
+            if not 0 <= x < n or x in seen:
+                raise ValueError(f"point {x!r} is out of range or repeated "
+                                 f"in cycles of degree {n}")
+            seen.add(x)
             images[x] = cyc[(i + 1) % len(cyc)]
-    p = tuple(images)
-    if not is_perm(p):
-        raise ValueError(f"cycles do not define a permutation of degree {n}")
-    return p
+    return tuple(images)
 
 
 def cycle_string(p: Perm) -> str:

@@ -2,6 +2,7 @@ import pytest
 
 from bringcover.cells import build_complex5
 from bringcover.cover import (
+    _gluing_sign,
     cover_to_dessin,
     euler_characteristic,
     is_orientable,
@@ -9,7 +10,13 @@ from bringcover.cover import (
     orientation_cover,
     surface_from_cells,
 )
-from bringcover.dessins import acts_freely, automorphism_group, build_i4, isomorphic
+from bringcover.dessins import (
+    Dessin,
+    acts_freely,
+    automorphism_group,
+    build_i4,
+    isomorphic,
+)
 from bringcover.perms import cycle_type, identify_closure
 from bringcover.verify import Context
 
@@ -30,6 +37,72 @@ def hemi_cube():
     face_edges = [(0, 4, 5, 1), (2, 4, 3, 1), (2, 5, 3, 0)]
     face_corners = [(1, 3, 2, 0), (3, 1, 2, 0), (3, 2, 1, 0)]
     return make_surface(face_edges, face_corners, n_vertices=4)
+
+
+def disjoint_union(*parts):
+    """The surfaces side by side, with faces, edges and vertices renumbered."""
+    face_edges, face_corners, nv, ne = [], [], 0, 0
+    for s in parts:
+        face_edges += [tuple(e + ne for e in es) for es in s.face_edges]
+        face_corners += [tuple(v + nv for v in cs) for cs in s.face_corners]
+        nv += s.n_vertices
+        ne += s.n_edges
+    return make_surface(face_edges, face_corners, n_vertices=nv)
+
+
+# An independent copy of the earlier cover code: the component count by
+# union-find over the oriented faces, and the darts of the cover dessin
+# read off every (oriented face, side, end corner) before the rotations.
+
+def reference_components(s):
+    parent = list(range(2 * s.n_faces))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for e, ((f1, _), (f2, _)) in s.edge_uses.items():
+        sign = _gluing_sign(s, e)
+        for o1 in (1, -1):
+            a = find(2 * f1 + (o1 == -1))
+            b = find(2 * f2 + (o1 * sign == -1))
+            parent[a] = b
+    return len({find(x) for x in range(2 * s.n_faces)})
+
+
+def reference_dessin(cov, orientation):
+    s = cov.base
+
+    def edge_id(f, t, o):
+        e = s.face_edges[f][t]
+        o1 = o if (f, t) == s.edge_uses[e][0] else o * _gluing_sign(s, e)
+        return 2 * e + (o1 == -1)
+
+    vertex_of = {corner: v for v, cyc in enumerate(cov.vertex_corners)
+                 for corner in cyc}
+    keys = set()
+    for f, edges in enumerate(s.face_edges):
+        m = len(edges)
+        for o in (1, -1):
+            for t in range(m):
+                for c in ((t - 1) % m, t):
+                    keys.add((edge_id(f, t, o), vertex_of[(f, o, c)]))
+    dart_id = {key: i for i, key in enumerate(sorted(keys))}
+    n = len(dart_id)
+    sigma1 = [0] * n
+    for (ce, v), i in dart_id.items():
+        (j,) = [j for (ce2, v2), j in dart_id.items() if ce2 == ce and j != i]
+        sigma1[i] = j
+    sigma0 = [0] * n
+    for v, cyc in enumerate(cov.vertex_corners):
+        walk = cyc if orientation == 1 else cyc[::-1]
+        ids = [dart_id[(edge_id(f, (c + 1) % len(s.face_edges[f])
+                                if o == 1 else c, o), v)]
+               for f, o, c in walk]
+        for i, d in enumerate(ids):
+            sigma0[d] = ids[(i + 1) % len(ids)]
+    return Dessin(sigma0, sigma1)
 
 
 @pytest.fixture(scope="module")
@@ -158,3 +231,42 @@ def test_main_isomorphism(dessin_d):
     assert m is not None
     # with these conventions no global mirror is needed
     assert not mirrored
+
+
+def test_orientation_must_be_a_sign(cover5):
+    for bad in (0, 2):
+        with pytest.raises(ValueError):
+            cover_to_dessin(cover5, orientation=bad)
+
+
+@pytest.mark.parametrize("parts, components", [
+    ((two_triangle_sphere, two_triangle_sphere), 4),
+    ((two_triangle_sphere, hemi_cube), 3),
+    ((hemi_cube, two_triangle_sphere), 3),
+    # two components, like a connected orientable base, yet disconnected
+    ((hemi_cube, hemi_cube), 2),
+], ids=["S2+S2", "S2+RP2", "RP2+S2", "RP2+RP2"])
+def test_disjoint_union_covers(parts, components):
+    s = disjoint_union(*(part() for part in parts))
+    cov = orientation_cover(s)
+    assert cov.components == components == reference_components(s)
+    assert not cov.is_connected
+    with pytest.raises(ValueError):
+        is_orientable(s)
+    with pytest.raises(ValueError):
+        cover_to_dessin(cov)
+
+
+def test_components_match_reference(surface5):
+    for s, components in ((two_triangle_sphere(), 2), (hemi_cube(), 1),
+                          (surface5, 1)):
+        assert orientation_cover(s).components == components == \
+            reference_components(s)
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+def test_dessins_match_reference(cover5, orientation):
+    cube = orientation_cover(hemi_cube())
+    for cov in (cover5, cube):
+        assert cover_to_dessin(cov, orientation) == \
+            reference_dessin(cov, orientation)

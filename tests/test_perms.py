@@ -119,6 +119,27 @@ def test_cycle_string_round_trip():
         assert parse_cycle_string(cycle_string(p), 8) == p
 
 
+@pytest.mark.parametrize("text, degree", [
+    ("(1 -2)", 3),          # negative indexing would fix every point
+    ("(0 1)(0 1)", 3),      # a repeated point is no product of cycles
+    ("(0 1 0)", 3),
+    ("(0 3)", 3),
+    ("(0 5)", 3),
+])
+def test_parse_rejects_bad_points(text, degree):
+    with pytest.raises(ValueError):
+        parse_cycle_string(text, degree)
+
+
+def test_from_cycles_rejects_bad_points():
+    with pytest.raises(ValueError):
+        from_cycles(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError):
+        from_cycles(2, [(0, 2)])
+    assert from_cycles(4, [(3, 0), (1, 2)]) == (3, 2, 1, 0)
+    assert parse_cycle_string("(2 0 1)", 3) == (1, 2, 0)
+
+
 def test_closure_cyclic():
     assert closure([C5]).order == 5
 

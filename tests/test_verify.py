@@ -58,3 +58,19 @@ def test_raising_check_fails_with_its_error(monkeypatch):
     (row,) = verify.run_checks(only=check.module)["checks"]
     assert (row["status"], row["observed"], row["expected"]) == \
         ("fail", "ArithmeticError: boom", "no error")
+
+
+@pytest.fixture(scope="module")
+def full_report():
+    return verify.run_checks()
+
+
+@pytest.mark.parametrize("module", verify.MODULES)
+def test_only_subset_matches_full_run(full_report, module):
+    # a result must not depend on which --only subset runs: the rows of a
+    # fresh subset run equal that module's rows of the full run
+    rows = [r for r in full_report["checks"]
+            if r["name"].startswith(module + ".")]
+    assert rows
+    subset = verify.run_checks(verify.Context(), only=module)
+    assert subset["checks"] == rows
