@@ -54,6 +54,9 @@ class LabeledPolygon(namedtuple("LabeledPolygon", "n labels diags")):
             raise ValueError(f"labels must be a permutation of 1..{n}")
         if tuple(sorted(diags)) != diags:
             raise ValueError("diags must be stored sorted")
+        # a repeated chord would count twice against the dimension
+        if len(set(diags)) != len(diags):
+            raise ValueError(f"repeated diagonal in {diags}")
         for c in diags:
             if not _chord_admissible(n, c):
                 raise ValueError(f"inadmissible chord {c} in an {n}-gon")

@@ -25,7 +25,7 @@ import json
 import sys
 
 from . import __version__, cells, cover, verify
-from .tracking import TrackingConfig, TrackingError, loop_entry, loop_spec
+from .tracking import TrackingConfig, TrackingError
 
 _TRACKING_FLAGS = ("steps", "seed", "base_t", "radius0", "radius1",
                    "radius_inf", "tol_residual", "tol_match_ratio",
@@ -56,13 +56,10 @@ def _config_from(args) -> TrackingConfig:
     overrides = {k: getattr(args, k) for k in _TRACKING_FLAGS
                  if getattr(args, k) is not None}
     try:
-        cfg = TrackingConfig(**overrides)
-        for puncture in (0, 1, "inf"):
-            loop_entry(loop_spec(cfg, puncture))
+        return TrackingConfig(**overrides)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
-    return cfg
 
 
 def _write(path, text: str) -> None:

@@ -56,7 +56,13 @@ class SurfaceComplex(namedtuple(
         return (self.face_corners[f][(t - 1) % m], self.face_corners[f][t])
 
 
-def make_surface(face_edges, face_corners, n_vertices: int) -> SurfaceComplex:
+def make_surface(face_edges, face_corners) -> SurfaceComplex:
+    """The surface of the faces' edge ids and corner vertex ids; its
+    vertices are the corner ids, which must be exactly 0..V-1."""
+    ids = {v for cs in face_corners for v in cs}
+    if ids != set(range(len(ids))):
+        raise ValueError("corner vertex ids are not exactly "
+                         f"0..{len(ids) - 1}")
     edge_uses = {}
     for f, edges in enumerate(face_edges):
         if len(edges) != len(face_corners[f]) or len(edges) < 3:
@@ -64,7 +70,7 @@ def make_surface(face_edges, face_corners, n_vertices: int) -> SurfaceComplex:
         for t, e in enumerate(edges):
             edge_uses.setdefault(e, []).append((f, t))
     surf = SurfaceComplex(
-        n_vertices=n_vertices,
+        n_vertices=len(ids),
         face_edges=tuple(tuple(edges) for edges in face_edges),
         face_corners=tuple(tuple(cs) for cs in face_corners),
         edge_uses={e: tuple(u) for e, u in edge_uses.items()},
@@ -79,8 +85,7 @@ def make_surface(face_edges, face_corners, n_vertices: int) -> SurfaceComplex:
 
 
 def surface_from_cells(data: CellComplexData) -> SurfaceComplex:
-    return make_surface(data.face_sides, data.face_corners,
-                        n_vertices=len(data.vertices))
+    return make_surface(data.face_sides, data.face_corners)
 
 
 def euler_characteristic(s: SurfaceComplex) -> int:

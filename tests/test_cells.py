@@ -213,6 +213,14 @@ def test_twist_preserves_diagonal_count_and_class():
     assert canonical_class(p) == canonical_class(t)
 
 
+def test_repeated_diagonal_is_rejected():
+    # canonical_class would take it for a 0-dimensional class and write it
+    # into the shared n=5, k=2 index, growing the census to 16 vertices
+    with pytest.raises(ValueError, match="repeated diagonal"):
+        canonical_class(polygon(5, (1, 2, 3, 4, 5), [(0, 2), (0, 2)]))
+    assert len(enumerate_cells(5, 2)) == 15
+
+
 def test_twist_requires_diagonal():
     with pytest.raises(ValueError):
         twist(polygon(5, (1, 2, 3, 4, 5)), (0, 2))

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from bringcover import cells, cover, monodromy, perms, verify
-from bringcover.cli import main
+from bringcover.cli import _TRACKING_FLAGS, build_parser, main
 from bringcover.tracking import TrackingConfig
 
 
@@ -273,14 +273,18 @@ def test_nan_match_ratio_exits_2(capsys):
     assert err.count("\n") == 1 and "tol_match_ratio" in err
 
 
-@pytest.mark.parametrize("argv", [
+BAD_TRACKING_FLAGS = [
     ["--steps", "3"],            # too few steps for a circle
     ["--radius-inf", "0.9"],     # the infinity circle misses t = 1
     ["--radius0", "0.6"],        # the loop around 0 swallows the base point
     ["--base-t", "1.5"],         # the tail around 0 would cross t = 1
     ["--radius-inf", "nan"],     # compares false with every bound
     ["--tol-lambda", "nan"],     # would switch the branch-drift check off
-])
+    ["--radius-inf", "1.001"],   # the circle holds t = 1, its 32-gon not
+]
+
+
+@pytest.mark.parametrize("argv", BAD_TRACKING_FLAGS)
 def test_bad_tracking_flags_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(["monodromy", *argv])
@@ -288,6 +292,23 @@ def test_bad_tracking_flags_exit_2(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _config_values(argv):
+    """The TrackingConfig keywords the CLI reads from ``argv``."""
+    args = build_parser().parse_args(["monodromy", *argv])
+    return {k: getattr(args, k) for k in _TRACKING_FLAGS
+            if getattr(args, k) is not None}
+
+
+@pytest.mark.parametrize("values", [
+    *map(_config_values, BAD_TRACKING_FLAGS),
+    {"steps": 32.0},             # else a TypeError, mid-track
+])
+def test_bad_tracking_values_fail_the_config(values):
+    # the config, not the CLI, holds the rule: one that exists can be tracked
+    with pytest.raises(ValueError):
+        TrackingConfig(**values)
 
 
 def test_console_script():

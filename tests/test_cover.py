@@ -25,7 +25,7 @@ def two_triangle_sphere():
     # two triangles glued along all three edges, vertices A=0, B=1, C=2
     face_edges = [(0, 1, 2), (0, 1, 2)]
     face_corners = [(1, 2, 0), (1, 2, 0)]
-    return make_surface(face_edges, face_corners, n_vertices=3)
+    return make_surface(face_edges, face_corners)
 
 
 def hemi_cube():
@@ -36,7 +36,7 @@ def hemi_cube():
     """
     face_edges = [(0, 4, 5, 1), (2, 4, 3, 1), (2, 5, 3, 0)]
     face_corners = [(1, 3, 2, 0), (3, 1, 2, 0), (3, 2, 1, 0)]
-    return make_surface(face_edges, face_corners, n_vertices=4)
+    return make_surface(face_edges, face_corners)
 
 
 def disjoint_union(*parts):
@@ -47,7 +47,7 @@ def disjoint_union(*parts):
         face_corners += [tuple(v + nv for v in cs) for cs in s.face_corners]
         nv += s.n_vertices
         ne += s.n_edges
-    return make_surface(face_edges, face_corners, n_vertices=nv)
+    return make_surface(face_edges, face_corners)
 
 
 # An independent copy of the earlier cover code: the component count by
@@ -160,7 +160,16 @@ def test_hemi_cube_cover_is_cube():
 
 def test_make_surface_rejects_dangling_edge():
     with pytest.raises(ValueError):
-        make_surface([(0, 1, 2)], [(1, 2, 0)], n_vertices=3)
+        make_surface([(0, 1, 2)], [(1, 2, 0)])
+
+
+@pytest.mark.parametrize("corners", [
+    [(1, 2, 7), (1, 2, 7)],    # a corner on vertex 7 of 3
+    [(1, 2, 4), (1, 2, 4)],    # vertex ids 1, 2, 4: 0 and 3 are missing
+])
+def test_make_surface_rejects_vertex_ids_outside_the_range(corners):
+    with pytest.raises(ValueError, match="corner vertex ids"):
+        make_surface([(0, 1, 2), (0, 1, 2)], corners)
 
 
 def test_base_euler(surface5):

@@ -304,6 +304,8 @@ def test_text_rejects_garbage():
         Dessin.from_text("n: 2\nsigma0: ()\nsigma1: ()\n")
     with pytest.raises(ValueError):  # a point beyond the dart count
         Dessin.from_text("darts: 3\nsigma0: (0 5)\nsigma1: ()")
+    with pytest.raises(ValueError, match="dart count"):  # not an empty dessin
+        Dessin.from_text("darts: -2\nsigma0: ()\nsigma1: ()")
 
 
 def test_dot_export():

@@ -71,3 +71,19 @@ def test_only_config_modules_import_dataclasses():
                    if "dataclasses" in _imported_modules(
                        ast.parse(path.read_text())))
     assert users == ["tracking.py", "verify.py"]
+
+
+def test_cli_takes_only_the_config_from_tracking():
+    # the rule for a loop geometry that can be tracked lives in
+    # TrackingConfig; the CLI builds one and reports what it raises
+    taken = []
+    for node in ast.walk(ast.parse((SRC / "cli.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if module in (".tracking", "bringcover.tracking"):
+                taken += (alias.name for alias in node.names)
+            elif module in (".", "bringcover"):
+                assert "tracking" not in (a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            assert "bringcover.tracking" not in (a.name for a in node.names)
+    assert sorted(taken) == ["TrackingConfig", "TrackingError"]

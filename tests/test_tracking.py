@@ -6,9 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bringcover import tracking
+from bringcover import monodromy, tracking
 from bringcover.monodromy import monodromy_triple, sheet_constellation
-from bringcover.perms import cycle_type, identity, inverse
+from bringcover.perms import compose, cycle_type, identity, inverse
 from bringcover.quintic import b_from_t, roots5
 from bringcover.tracking import (
     _C,
@@ -41,11 +41,10 @@ def reference_circle(spec):
         center = complex(spec.puncture)
         entry = center + spec.radius * (t0 - center) / abs(t0 - center)
     theta0 = math.atan2((entry - center).imag, (entry - center).real)
-    sign = 1.0 if spec.direction == "ccw" else -1.0
     return [
         center + abs(entry - center)
-        * complex(math.cos(theta0 + sign * 2 * math.pi * k / spec.steps),
-                  math.sin(theta0 + sign * 2 * math.pi * k / spec.steps))
+        * complex(math.cos(theta0 + 2 * math.pi * k / spec.steps),
+                  math.sin(theta0 + 2 * math.pi * k / spec.steps))
         for k in range(1, spec.steps + 1)
     ]
 
@@ -188,6 +187,11 @@ def test_loop_spec_validation():
         contour(LoopSpec(puncture="inf", base_t=0.5, radius=0.4, steps=64))
     with pytest.raises(ValueError, match="both finite punctures"):
         contour(LoopSpec(puncture="inf", base_t=0.5, radius=0.9, steps=64))
+    # the circle of radius 1.001 holds t = 1, but the 32-gon walked on it
+    # has inradius 0.996; at 1024 steps the inradius is 1.000995
+    with pytest.raises(ValueError, match="both finite punctures"):
+        contour(LoopSpec(puncture="inf", base_t=0.5, radius=1.001, steps=32))
+    contour(LoopSpec(puncture="inf", base_t=0.5, radius=1.001, steps=1024))
 
 
 def test_loop_around_one_is_4_cycle():
@@ -213,13 +217,6 @@ def test_tracking_deterministic():
     r1 = track_loop(spec, CFG)
     r2 = track_loop(spec, CFG)
     assert r1 == r2  # bit-for-bit, diagnostics included
-
-
-def test_direction_reversal_inverts():
-    for p in (0, 1, "inf"):
-        spec = loop_spec(CFG, p)
-        rev = dataclasses.replace(spec, direction="cw")
-        assert track_loop(rev, CFG).pi == inverse(track_loop(spec, CFG).pi)
 
 
 def test_step_doubling_invariance(triple):
@@ -268,7 +265,6 @@ def test_coarse_but_rescuable_uses_halving():
 def test_monodromy_triple(triple):
     assert triple.cycle_types() == ((5,), (4, 1), (2, 1, 1, 1))
     assert triple.product_is_identity()
-    assert triple.inf_exact
     assert triple.group.order == 120
     for res in triple.loops.values():
         assert res.max_residual < 1e-9
@@ -295,12 +291,42 @@ def test_sheet_constellation(triple):
     assert sheet.genus() == rh_genus == 4
 
 
+@pytest.mark.parametrize("branch", range(4))
+@pytest.mark.parametrize("base_t", [0.3, 0.4, 0.5, 0.6, 0.7])
+def test_infinity_track_is_the_composite_inverse(base_t, branch):
+    # the contours fix the relation: the infinity circle is the loop around
+    # 0 followed by the loop around 1, and its transposition is its own
+    # inverse, so both forms hold at every base point and branch
+    t = monodromy_triple(TrackingConfig(base_t=base_t, branch=branch))
+    assert t.pi_inf == inverse(compose(t.pi1, t.pi0))
+    assert t.pi_inf == compose(t.pi1, t.pi0)
+
+
+def test_conjugate_infinity_track_is_rejected(monkeypatch):
+    # a direct track only conjugate to the composite is a tracking fault,
+    # not another composition order
+    c5 = (1, 2, 3, 4, 0)
+    real = monodromy.track_loop
+
+    def conjugated(spec, cfg):
+        res = real(spec, cfg)
+        if spec.puncture != "inf":
+            return res
+        pi = compose(compose(c5, res.pi), inverse(c5))
+        assert pi != res.pi and cycle_type(pi) == cycle_type(res.pi)
+        return res._replace(pi=pi)
+
+    monkeypatch.setattr(monodromy, "track_loop", conjugated)
+    with pytest.raises(ArithmeticError, match="composite"):
+        monodromy_triple(TrackingConfig())
+
+
 def test_sheet_requires_full_group():
     from bringcover.monodromy import MonodromyTriple
 
     c5 = (1, 2, 3, 4, 0)
     bad = MonodromyTriple(pi0=c5, pi1=inverse(c5), pi_inf=identity(5),
-                          loops={}, inf_exact=False, order_flipped=False)
+                          loops={})
     with pytest.raises(ValueError):
         sheet_constellation(bad)
 
@@ -338,13 +364,11 @@ def test_kernel_collision_floor():
 
 
 @pytest.mark.parametrize("steps", [4, 7, 64, 1000, 1024, 4096])
-@pytest.mark.parametrize("direction", ["ccw", "cw"])
 @pytest.mark.parametrize("puncture", [0, 1, "inf"])
-def test_contour_circle_matches_reference(puncture, direction, steps):
+def test_contour_circle_matches_reference(puncture, steps):
     for base_t in (0.5, 0.37):
         spec = dataclasses.replace(loop_spec(CFG, puncture), steps=steps,
-                                   base_t=complex(base_t),
-                                   direction=direction)
+                                   base_t=complex(base_t))
         ts = contour(spec)
         n_tail = max(8, steps // 8)
         assert ts[n_tail + 1:n_tail + 1 + steps] == reference_circle(spec)
@@ -367,27 +391,25 @@ def test_diagnostics_report_halving():
 
 @settings(max_examples=40, deadline=None)
 @given(puncture=st.sampled_from([0, 1, "inf"]),
-       direction=st.sampled_from(["ccw", "cw"]),
        base_t=st.floats(0.3, 0.7),
        branch=st.integers(0, 3),
        radius_factor=st.floats(0.7, 1.3),
        ratio=st.floats(2.0, 5.0),
        steps=st.sampled_from([8, 16, 32, 48, 64, 256]),
        max_depth=st.sampled_from([1, 2, 3, 40]))
-def test_track_path_matches_reference(puncture, direction, base_t, branch,
+def test_track_path_matches_reference(puncture, base_t, branch,
                                       radius_factor, ratio, steps, max_depth):
     # coarse steps halve, and exhaust the budget; a shallow max_depth
     # reaches the collision floor
-    cfg = TrackingConfig(base_t=base_t, branch=branch, steps=steps,
-                         radius0=0.25 * radius_factor,
-                         radius1=0.25 * radius_factor,
-                         radius_inf=8.0 * radius_factor,
-                         tol_match_ratio=ratio)
-    spec = dataclasses.replace(loop_spec(cfg, puncture), direction=direction)
     try:
-        ts = contour(spec)
+        cfg = TrackingConfig(base_t=base_t, branch=branch, steps=steps,
+                             radius0=0.25 * radius_factor,
+                             radius1=0.25 * radius_factor,
+                             radius_inf=8.0 * radius_factor,
+                             tol_match_ratio=ratio)
     except ValueError:
         assume(False)
+    ts = contour(loop_spec(cfg, puncture))
     b0 = b_from_t(complex(base_t), branch)
     xs0 = roots5(1.0, b0, tol=cfg.tol_residual)
     budget = int(cfg.budget_factor * (len(ts) - 1))

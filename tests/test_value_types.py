@@ -32,7 +32,7 @@ FIELDS = {
         "pi lam lam_power max_residual min_separation steps_used "
         "waypoints max_halving_depth", False),
     monodromy.MonodromyTriple: (
-        "pi0 pi1 pi_inf loops inf_exact order_flipped", False),
+        "pi0 pi1 pi_inf loops", False),
 }
 ORDER = (operator.lt, operator.le, operator.gt, operator.ge)
 
@@ -42,7 +42,7 @@ def samples():
     """Two or more instances of each value type, from the real builders."""
     c5 = cells.build_complex5()
     sphere = cover.make_surface([(0, 1, 2), (0, 1, 2)],
-                                [(1, 2, 0), (1, 2, 0)], n_vertices=3)
+                                [(1, 2, 0), (1, 2, 0)])
     surface = cover.surface_from_cells(c5)
     i4, ico = dessins.build_i4(), dessins.build_icosahedron()
     cfg = TrackingConfig()
