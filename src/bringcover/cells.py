@@ -13,9 +13,18 @@ carries ``labels[i]``; a diagonal is a corner pair (a, b) with a < b.
 Labels are distinct, so the dihedral orbit of a (labels, diags) key has
 exactly 2n keys, and exactly two of them put label 1 on side 0; the
 smaller of those two is the key's dihedral normal form.  A class is held
-as the closure of one normal form under twists, each image re-normalised,
-so ``orbit_size`` is 2n times the number of its normal forms.  One index
-per (n, k) maps each normal form found so far to its class:
+as the normal forms of the twist images of one polygon, so ``orbit_size``
+is 2n times the number of its normal forms.
+
+Twists along two distinct diagonals commute up to a dihedral move, and a
+twist done twice is a dihedral move, so every twist image of a polygon
+with k diagonals is, up to the dihedral group, its image under one subset
+of them: a class is walked as the 2^k subsets of one normal form's
+diagonals, by 2^k - 1 twists.  Each diagonal keeps its place in the
+chord list through twists and normalisation, so "the diagonals with
+index above max(S)" means the same chords in every image.
+
+One index per (n, k) maps each normal form found so far to its class:
 ``canonical_class`` normalises and looks up, walking the class on a
 miss, and ``enumerate_cells`` fills the index with every class.
 """
@@ -30,14 +39,6 @@ def _chords_cross(c1, c2) -> bool:
     a, b = c1
     c, d = c2
     return (a < c < b < d) or (c < a < d < b)
-
-
-def _chord_admissible(n: int, chord) -> bool:
-    a, b = chord
-    if not (0 <= a < b < n):
-        return False
-    spread = b - a
-    return 2 <= spread <= n - 2
 
 
 class LabeledPolygon(namedtuple("LabeledPolygon", "n labels diags")):
@@ -58,13 +59,17 @@ class LabeledPolygon(namedtuple("LabeledPolygon", "n labels diags")):
         if len(set(diags)) != len(diags):
             raise ValueError(f"repeated diagonal in {diags}")
         for c in diags:
-            if not _chord_admissible(n, c):
+            a, b = c
+            if not (0 <= a < b < n and 2 <= b - a <= n - 2):
                 raise ValueError(f"inadmissible chord {c} in an {n}-gon")
+        # sorted and distinct, (a, b) < (c, d): they cross iff a < c < b < d
         for i, c1 in enumerate(diags):
+            a, b = c1
             for c2 in diags[i + 1:]:
-                if _chords_cross(c1, c2):
+                c, d = c2
+                if a < c < b < d:
                     raise ValueError(f"crossing chords {c1} and {c2}")
-        return super().__new__(cls, n, labels, diags)
+        return tuple.__new__(cls, (n, labels, diags))
 
     def to_text(self) -> str:
         labels = ",".join(map(str, self.labels))
@@ -78,21 +83,20 @@ def polygon(n: int, labels, diags=()) -> LabeledPolygon:
 
 
 def _twist_key(labels: tuple, diags, chord) -> tuple:
-    """:func:`twist` on a bare (labels, diags) key; the chords of the
-    result come back as unsorted corner pairs."""
+    """:func:`twist` on a bare (labels, diags) key, for a chord (a, b)
+    with a < b; the chords of the result come back as corner pairs in the
+    order of ``diags``, unsorted.
+
+    The sides a..b-1 stay; the others, read from b round to a-1, reverse.
+    A chord with no end strictly between a and b rides in the flipped
+    part, where corner c goes to a + b - c."""
     n = len(labels)
     a, b = chord
-    k = b - a
-    turned = labels[a:] + labels[:a]  # chord now (0, k)
-    turned = turned[:k] + turned[k:][::-1]
-    moved = []
-    for c, d in diags:
-        c, d = (c - a) % n, (d - a) % n
-        if (c == 0 or c >= k) and (d == 0 or d >= k):
-            # inside the flipped part: corner c goes to k - c
-            c, d = (k - c) % n, (k - d) % n
-        moved.append(((c + a) % n, (d + a) % n))
-    return turned[n - a:] + turned[:n - a], moved
+    flipped = (labels[b:] + labels[:a])[::-1]
+    s = a + b
+    moved = [(c, d) if a < c < b or a < d < b else ((s - c) % n, (s - d) % n)
+             for c, d in diags]
+    return flipped[n - b:] + labels[a:b] + flipped[:n - b], moved
 
 
 def twist(p: LabeledPolygon, diag) -> LabeledPolygon:
@@ -109,21 +113,23 @@ def twist(p: LabeledPolygon, diag) -> LabeledPolygon:
     return polygon(p.n, *_twist_key(p.labels, p.diags, diag))
 
 
-def _normal_form(labels, diags) -> tuple:
-    """The dihedral normal form of a (labels, diags) key: of the two
-    dihedral images that put label 1 on side 0, the smaller one."""
+def _normal_form(labels, chords) -> tuple:
+    """The dihedral normal form of a (labels, chords) key: of the two
+    dihedral images that put label 1 on side 0, the smaller one.  The
+    chords come back as (a, b) pairs with a < b in the order given, so a
+    chord keeps its place through twists and normalisation; sorted, they
+    give the index key."""
     labels = tuple(labels)
     n = len(labels)
     j = labels.index(1)
     labels = labels[j:] + labels[:j]
     if labels[1] < labels[-1]:
-        moved = [((a - j) % n, (b - j) % n) for a, b in diags]
+        moved = [((a - j) % n, (b - j) % n) for a, b in chords]
     else:
         # read the sides backwards from label 1: corner c -> j + 1 - c
         labels = (1,) + labels[:0:-1]
-        moved = [((j + 1 - a) % n, (j + 1 - b) % n) for a, b in diags]
-    return labels, tuple(sorted((a, b) if a < b else (b, a)
-                                for a, b in moved))
+        moved = [((j + 1 - a) % n, (j + 1 - b) % n) for a, b in chords]
+    return labels, tuple([(a, b) if a < b else (b, a) for a, b in moved])
 
 
 class CellClass(namedtuple("CellClass", "rep orbit_size")):
@@ -153,39 +159,48 @@ def _index(n: int, k: int) -> dict:
 
 
 def _class_of(n: int, form) -> CellClass:
-    """The class of a normal form, from the index or else by a walk: the
-    closure of {form} under twists, each image re-normalised.  Twists
-    commute with the dihedral group up to a dihedral move, so the walk
-    meets every dihedral orbit of the class.  Each normal form is
-    validated once, as a LabeledPolygon, when first reached."""
+    """The class of a normal form, from the index or else by a walk over
+    the subsets of its k chords.
+
+    Twists along distinct chords commute up to a dihedral move, and a
+    twist done twice is a dihedral move, so the normal forms of the class
+    are the images of the 2^k subsets of ``form``'s chords.  The walk
+    carries each image's chords in the order of ``form``'s, and from the
+    image of a subset S twists only along the chords after max(S): each
+    subset is reached once, by 2^k - 1 twists in all.  A subset whose image
+    was already reached raises RuntimeError, since the argument above then
+    fails.  Each normal form is validated once, as a LabeledPolygon."""
     index = _index(n, len(form[1]))
     if form in index:
         return index[form]
     rep = LabeledPolygon(n, *form)
     forms = {form}
-    frontier = [form]
-    while frontier:
-        labels, diags = frontier.pop()
-        for chord in diags:
-            image = _normal_form(*_twist_key(labels, diags, chord))
-            if image not in forms:
-                rep = min(rep, LabeledPolygon(n, *image))
-                forms.add(image)
-                frontier.append(image)
+    stack = [(form, 0)]  # (labels, chords in form's order), next chord
+    while stack:
+        (labels, chords), start = stack.pop()
+        for i in range(start, len(chords)):
+            image = _normal_form(*_twist_key(labels, chords, chords[i]))
+            key = (image[0], tuple(sorted(image[1])))
+            if key in forms:
+                raise RuntimeError(f"two twist subsets of {form} give {key}")
+            rep = min(rep, LabeledPolygon(n, *key))
+            forms.add(key)
+            stack.append((image, i + 1))
     cls = CellClass(rep=rep, orbit_size=2 * n * len(forms))
     index.update(dict.fromkeys(forms, cls))
     return cls
 
 
 def canonical_class(p: LabeledPolygon) -> CellClass:
-    return _class_of(p.n, _normal_form(p.labels, p.diags))
+    labels, chords = _normal_form(p.labels, p.diags)
+    return _class_of(p.n, (labels, tuple(sorted(chords))))
 
 
 @lru_cache(maxsize=None)
 def _admissible_chord_sets(n: int, k: int) -> tuple:
     """All size-k sets of pairwise non-crossing admissible chords."""
-    chords = [(a, b) for a in range(n) for b in range(a + 1, n)
-              if _chord_admissible(n, (a, b))]
+    chords = [(a, b) for a in range(n) for b in range(a + 2, n)
+              if b - a <= n - 2]
     out = []
 
     def backtrack(start, acc):
@@ -219,11 +234,13 @@ def enumerate_cells(n: int, k: int) -> list:
         raise ValueError("n out of the supported range 3..8")
     if not 0 <= k <= n - 3:
         raise ValueError(f"diagonal count {k} out of range 0..{n - 3}")
+    index = _index(n, k)
     for labels in _all_labelings(n):
         if labels[1] < labels[-1]:  # the normal-form placement
             for diags in _admissible_chord_sets(n, k):
-                _class_of(n, (labels, diags))
-    return sorted(set(_index(n, k).values()))
+                if (labels, diags) not in index:
+                    _class_of(n, (labels, diags))
+    return sorted(set(index.values()))
 
 
 def refinements(c: CellClass) -> list:

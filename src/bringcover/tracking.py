@@ -99,9 +99,13 @@ class TrackingConfig:
                 and self.budget_factor >= 1):
             raise ValueError("budget_factor must be a finite number >= 1, "
                              f"got {self.budget_factor!r}")
-        # a config that exists can be tracked: every loop can be built
+        # a config that exists can be tracked: every loop can be built, at
+        # its own steps and at the steps certify.certify walks whatever
+        # steps is (the spec is copied here: with_steps would recurse)
         for puncture in (0, 1, "inf"):
-            loop_entry(loop_spec(self, puncture))
+            spec = loop_spec(self, puncture)
+            loop_entry(spec)
+            loop_entry(replace(spec, steps=TrackingConfig.steps))
 
     def with_steps(self, steps: int) -> "TrackingConfig":
         return replace(self, steps=steps)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bringcover.cells as cellmod
 from bringcover.cells import (
     PENTAGON_SIDE_ORDER,
     CellClass,
@@ -383,3 +384,112 @@ def test_enumerate_completes_a_partial_index():
     # (2520 is the count the raw orbit search gives)
     canonical_class(polygon(7, (1, 2, 3, 4, 5, 6, 7), [(0, 2)]))
     assert len(enumerate_cells(7, 1)) == 2520
+
+
+# ---------------------------------------------------------- subset walk
+
+@pytest.fixture
+def fresh_index(monkeypatch):
+    """An empty class index for every (n, k), dropped after the test."""
+    monkeypatch.setattr(cellmod, "_index", lru_cache(maxsize=None)(
+        lambda n, k: {}))
+
+
+def test_walk_twists_each_subset_once(fresh_index, monkeypatch):
+    # a class of k diagonals costs 2^k - 1 twists: 60, 270, 315 and 105
+    # classes at n = 6 give 0 / 270 / 945 / 735 (a walk that twists every
+    # form along every chord makes 0 / 540 / 2520 / 2520)
+    calls = []
+    twist_key = cellmod._twist_key
+
+    def counted(*args):
+        calls.append(args)
+        return twist_key(*args)
+
+    monkeypatch.setattr(cellmod, "_twist_key", counted)
+    counts = []
+    for k in range(4):
+        calls.clear()
+        enumerate_cells(6, k)
+        counts.append(len(calls))
+    assert counts == [0, 270, 945, 735]
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_orbits_are_free_and_split_the_keys(n):
+    # each of the 2^k twist subsets gives its own normal form, and the
+    # normal forms of all classes are every labeling with 1 on side 0 and
+    # labels[1] < labels[-1], times every non-crossing chord set
+    for k in range(n - 2):
+        classes = enumerate_cells(n, k)
+        assert all(c.orbit_size == 2 * n * 2**k for c in classes)
+        chord_sets = [s for s in combinations(_chords(n), k)
+                      if not any(_crossing(c, d)
+                                 for c, d in combinations(s, 2))]
+        assert sum(c.orbit_size // (2 * n) for c in classes) == \
+            factorial(n - 1) // 2 * len(chord_sets)
+
+
+def test_walk_rejects_a_subset_that_repeats_a_form(fresh_index, monkeypatch):
+    # a twist that changes nothing gives every subset the same form
+    monkeypatch.setattr(cellmod, "_twist_key",
+                        lambda labels, diags, chord: (labels, list(diags)))
+    form = ((1, 2, 3, 4, 5, 6), ((0, 2), (0, 4)))
+    with pytest.raises(RuntimeError, match="twist subsets"):
+        cellmod._class_of(6, form)
+    assert cellmod._index(6, 2) == {}
+
+
+def reference_validate(n, labels, diags):
+    """LabeledPolygon's checks, one after another, as first written."""
+    if n < 3:
+        raise ValueError("polygon needs at least 3 sides")
+    if sorted(labels) != list(range(1, n + 1)):
+        raise ValueError(f"labels must be a permutation of 1..{n}")
+    if tuple(sorted(diags)) != diags:
+        raise ValueError("diags must be stored sorted")
+    if len(set(diags)) != len(diags):
+        raise ValueError(f"repeated diagonal in {diags}")
+    for c in diags:
+        a, b = c
+        if not (0 <= a < b < n and 2 <= b - a <= n - 2):
+            raise ValueError(f"inadmissible chord {c} in an {n}-gon")
+    for i, c1 in enumerate(diags):
+        for c2 in diags[i + 1:]:
+            if _crossing(c1, c2):
+                raise ValueError(f"crossing chords {c1} and {c2}")
+
+
+def _outcome(f, *args):
+    try:
+        f(*args)
+    except Exception as exc:  # the type and message are the outcome
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def polygon_inputs(draw):
+    """(n, labels, diags), valid or not: mostly a permutation and
+    admissible chords, else labels and corner pairs near the range."""
+    n = draw(st.integers(2, 8))
+    if draw(st.integers(0, 3)):
+        labels = draw(st.permutations(range(1, n + 1)))
+    else:
+        labels = draw(st.lists(st.integers(0, n + 1),
+                               min_size=n - 1, max_size=n + 1))
+    corner = st.integers(-1, n)
+    chord = st.tuples(corner, corner)
+    if _chords(n) and draw(st.integers(0, 3)):
+        chord = st.sampled_from(_chords(n))
+    diags = draw(st.lists(chord, max_size=4, unique=draw(st.booleans())))
+    if draw(st.integers(0, 3)):
+        diags.sort()
+    return n, tuple(labels), tuple(diags)
+
+
+@settings(max_examples=400)
+@given(polygon_inputs())
+def test_polygon_checks_match_reference(args):
+    assert _outcome(LabeledPolygon, *args) == \
+        _outcome(reference_validate, *args)
