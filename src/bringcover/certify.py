@@ -89,7 +89,8 @@ class Discs(NamedTuple):
 
 
 def residual_bound(y: complex, beta: complex) -> float:
-    """An upper bound of |y^5 + y + beta|, evaluated as the kernel does."""
+    """An upper bound of |y^5 + y + beta|: an evaluation of its own, not
+    the kernel's residual, widened by that evaluation's a-priori error."""
     y2 = y * y
     y4 = y2 * y2
     a = abs(y)

@@ -19,6 +19,16 @@ is halved.  :mod:`certify` walks the same contours through the body of
 :func:`track_loop`, with a check that fails every step its Rouché tests
 do not prove.
 
+Each step is a predictor-corrector step.  The roots are holomorphic in b,
+so the secant through the last two committed points, c_i + rho (c_i -
+p_i) with rho = (b_new - b_cur) / (b_cur - b_prev), predicts each new
+root to first order, and Newton corrects it, at fine resolutions in one
+update.  Newton evaluates the polynomial once per iterate: the value that
+passes the convergence test, divided by 1 + |b|, is the reported
+residual, the same bits as x*x*x*x*x + x + b evaluated afresh at the
+root.  The prediction moves only Newton's start: the ratio test still
+measures each new root from its old root c_i, not from its prediction.
+
 The separation s of the new roots, which the diagnostics need anyway,
 decides that test whenever every root moved at most s / (2 (ratio + 1)):
 the distance from an old root c_i to another new root y_j is at least
@@ -226,14 +236,28 @@ class TrackResult(namedtuple("TrackResult", (
         }
 
 
-def _try_step(t_target, b_cur, xs_cur, tol, ratio):
-    """One step of the ratio test; returns (b_new, xs_new, residual,
-    separation) or None when the step must be halved.
+def _try_step(t_target, b_cur, xs_cur, b_prev, xs_prev, tol, ratio):
+    """One predictor-corrector step of the ratio test; returns (b_new,
+    xs_new, residual, separation) or None when the step must be halved.
 
-    The branch b moves to the fourth root of w(t) nearest its old value,
-    Newton polishes the old roots c_i against it, and each new root y_i
-    must be ``ratio`` times nearer its own old root than any other old
-    root: d_i * ratio <= |y_j - c_i| for j != i, with d_i = |y_i - c_i|.
+    The branch b moves to the fourth root of w(t) nearest its old value.
+    ``b_prev`` and ``xs_prev`` are the branch and roots one committed step
+    back.  Each root is holomorphic in b, so the secant start
+    c_i + rho (c_i - p_i), rho = (b_new - b_cur) / (b_cur - b_prev), is
+    exact to first order whatever the direction of the step; with no
+    history (b_prev == b_cur, as on a loop's first step or after a step
+    that did not move) rho is 0 and Newton starts from c_i.  Newton
+    evaluates f = x^5 + x + b_new once per iterate, as x4 * x + x + b_new
+    with x4 = x * x * x * x: abs(f) is its convergence test, and at the
+    returned root abs(f) / (1 + |b_new|) is the reported residual, the
+    same bits as evaluating x * x * x * x * x + x + b_new afresh.
+
+    The predictor moves only Newton's start.  Each new root y_i must be
+    ``ratio`` times nearer its own old root than any other old root:
+    d_i * ratio <= |y_j - c_i| for j != i, with d_i = |y_i - c_i|.  The
+    test anchors at the old roots c_i, which the last step left apart, not
+    at the predictions, so a start that sends Newton to another root fails
+    it as a start at c_i would.
 
     The separation s = min |y_i - y_j| decides that test whenever
     (ratio + 1) * max d_i <= s / 2.  Proof: |y_j - c_i| >= |y_j - y_i| -
@@ -256,26 +280,28 @@ def _try_step(t_target, b_cur, xs_cur, tol, ratio):
     if best > 0.4 * b_abs:
         return None
 
-    # Newton on x^5 + x + b_new from each old root; a stalled root halves
+    # Newton on x^5 + x + b_new from each predicted root; a stalled root halves
+    db = b_cur - b_prev
+    rho = (b_new - b_cur) / db if db else 0
     scale = 1.0 + b_abs
     lim = tol * scale
     xs_new = []
     residual = 0.0
-    for x in xs_cur:
+    for c, p in zip(xs_cur, xs_prev):
+        x = c + rho * (c - p)
         for _ in _NEWTON_ITERS:
-            x2 = x * x
-            x4 = x2 * x2
+            x4 = x * x * x * x
             f = x4 * x + x + b_new
-            if abs(f) <= lim:
+            r = abs(f)
+            if r <= lim:
                 break
             x = x - f / (5 * x4 + 1)
         else:
             return None
-        # evaluated afresh, not abs(f): these bits are the reported residual
-        r = abs(x * x * x * x * x + x + b_new) / scale
         if r > residual:
             residual = r
         xs_new.append(x)
+    residual /= scale           # division is monotone: max(|f| / scale)
 
     y0, y1, y2, y3, y4 = xs_new
     c0, c1, c2, c3, c4 = xs_cur
@@ -318,12 +344,15 @@ def track_path(ts, b0, xs0, tol_residual, match_ratio, max_depth, budget,
     ``max_depth`` or more than ``budget`` committed steps in total.
 
     A failed step pushes its target and then its midpoint onto the
-    waypoint's stack, so the midpoint is tracked first, depth first.  A
+    waypoint's stack, so the midpoint is tracked first, depth first.  Each
+    step's Newton starts from the secant prediction through the last two
+    committed points (see :func:`_try_step`); a failed step leaves that
+    history alone, and a loop's first step has none.  A
     ``check(t_cur, t_target, result)`` that returns False fails a step the
     kernel accepted, so the certificate bisects through the same loop.
     """
-    b_cur = complex(b0)
-    xs_cur = [complex(x) for x in xs0]
+    b_cur = b_prev = complex(b0)
+    xs_cur = xs_prev = [complex(x) for x in xs0]
     t_cur = complex(ts[0])
     max_residual = 0.0
     min_separation = float("inf")
@@ -334,8 +363,8 @@ def track_path(ts, b0, xs0, tol_residual, match_ratio, max_depth, budget,
         stack = [(complex(ts[k]), 0)]
         while stack:
             t_target, depth = stack.pop()
-            result = _try_step(t_target, b_cur, xs_cur, tol_residual,
-                               match_ratio)
+            result = _try_step(t_target, b_cur, xs_cur, b_prev, xs_prev,
+                               tol_residual, match_ratio)
             if check is not None and result is not None \
                     and not check(t_cur, t_target, result):
                 result = None
@@ -352,6 +381,7 @@ def track_path(ts, b0, xs0, tol_residual, match_ratio, max_depth, budget,
                 raise TrackingError(
                     f"resolution budget exhausted ({budget} steps): "
                     "the loop needs finer sampling, increase steps")
+            b_prev, xs_prev = b_cur, xs_cur
             b_cur, xs_cur, residual, separation = result
             t_cur = t_target
             if residual > max_residual:

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from bringcover import monodromy, tracking
 from bringcover.monodromy import monodromy_triple, sheet_constellation
-from bringcover.perms import compose, cycle_type, identity, inverse
+from bringcover.perms import (
+    compose,
+    cycle_string,
+    cycle_type,
+    identity,
+    inverse,
+)
 from bringcover.quintic import b_from_t, roots5
 from bringcover.tracking import (
     _C,
@@ -28,8 +34,9 @@ CFG = TrackingConfig(steps=512)
 
 
 # ------------------------------------------------------------ reference
-# The kernel as first written: generator expressions for the distances,
-# a recursive halving closure, each circle angle computed twice.  The
+# The kernel's rule written plainly: generator expressions for the
+# distances, a recursive halving closure, each circle angle computed
+# twice, the residual read off the polynomial as x^5 + x + b.  The
 # unrolled kernel in tracking.py must return the same bits.
 
 def reference_circle(spec):
@@ -49,28 +56,28 @@ def reference_circle(spec):
     ]
 
 
-def reference_newton(xs, b, tol):
+def reference_newton(starts, b, tol):
+    """Newton on x^5 + x + b from each start; the residual is |f| / (1 +
+    |b|) at the root, the value that passed the convergence test."""
     out = []
     worst = 0.0
     scale = 1.0 + abs(b)
-    for x in xs:
+    for x in starts:
         converged = False
         for _ in range(_NEWTON_CAP):
-            x2 = x * x
-            x4 = x2 * x2
-            f = x4 * x + x + b
+            f = x * x * x * x * x + x + b
             if abs(f) <= tol * scale:
                 converged = True
                 break
-            x = x - f / (5 * x4 + 1)
+            x = x - f / (5 * (x * x * x * x) + 1)
         if not converged:
             return None, 0.0
-        worst = max(worst, abs(x * x * x * x * x + x + b) / scale)
+        worst = max(worst, abs(f) / scale)
         out.append(x)
     return out, worst
 
 
-def reference_try_step(t_target, b_cur, xs_cur, tol, ratio):
+def reference_try_step(t_target, b_cur, xs_cur, b_prev, xs_prev, tol, ratio):
     w = _C * (1 - t_target) / t_target
     principal = w ** 0.25
     b_new = principal
@@ -83,12 +90,19 @@ def reference_try_step(t_target, b_cur, xs_cur, tol, ratio):
             b_new = cand
     if best > 0.4 * abs(b_new):
         return None
-    xs_new, residual = reference_newton(xs_cur, b_new, tol)
+    # the secant through the last two committed points predicts the roots
+    if b_cur == b_prev:
+        rho = 0
+    else:
+        rho = (b_new - b_cur) / (b_cur - b_prev)
+    starts = [c + rho * (c - p) for c, p in zip(xs_cur, xs_prev)]
+    xs_new, residual = reference_newton(starts, b_new, tol)
     if xs_new is None:
         return None
     separation = min(
         abs(xs_new[i] - xs_new[j]) for i in range(5) for j in range(i + 1, 5)
     )
+    # the match test measures from the old roots, not the predictions
     for i in range(5):
         d_self = abs(xs_new[i] - xs_cur[i])
         d_other = min(abs(xs_new[j] - xs_cur[i]) for j in range(5) if j != i)
@@ -99,17 +113,18 @@ def reference_try_step(t_target, b_cur, xs_cur, tol, ratio):
 
 def reference_track_path(ts, b0, xs0, tol_residual, match_ratio, max_depth,
                          budget):
-    b_cur = complex(b0)
-    xs_cur = [complex(x) for x in xs0]
+    b_cur = b_prev = complex(b0)
+    xs_cur = xs_prev = [complex(x) for x in xs0]
     t_cur = complex(ts[0])
     max_residual = 0.0
     min_separation = float("inf")
     steps_used = 0
 
     def advance(t_target, depth):
-        nonlocal b_cur, xs_cur, t_cur, max_residual, min_separation, steps_used
-        result = reference_try_step(t_target, b_cur, xs_cur, tol_residual,
-                                    match_ratio)
+        nonlocal b_cur, xs_cur, b_prev, xs_prev, t_cur, max_residual, \
+            min_separation, steps_used
+        result = reference_try_step(t_target, b_cur, xs_cur, b_prev, xs_prev,
+                                    tol_residual, match_ratio)
         if result is None:
             if depth >= max_depth:
                 raise TrackingError(
@@ -124,6 +139,8 @@ def reference_track_path(ts, b0, xs0, tol_residual, match_ratio, max_depth,
             raise TrackingError(
                 f"resolution budget exhausted ({budget} steps): "
                 "the loop needs finer sampling, increase steps")
+        # only a committed step moves the history
+        b_prev, xs_prev = b_cur, xs_cur
         b_cur, xs_cur, residual, separation = result
         t_cur = t_target
         max_residual = max(max_residual, residual)
@@ -260,6 +277,64 @@ def test_coarse_but_rescuable_uses_halving():
     assert t.loops["inf"].steps_used > base_steps  # halving really ran
     fine = monodromy_triple(CFG)
     assert (t.pi0, t.pi1, t.pi_inf) == (fine.pi0, fine.pi1, fine.pi_inf)
+
+
+# (pi0, pi1, pi_inf) at base_t 0.5 by branch, recorded from the tracker
+# that started Newton at the old roots; the same at 8, 32 and 1024 steps
+PINNED_CYCLES = {
+    0: ("(0 2 1 4 3)", "(0 3 4 1)", "(0 2)"),
+    1: ("(0 2 4 3 1)", "(0 1 3 4)", "(0 2)"),
+    2: ("(0 1 4 2 3)", "(0 3 4 1)", "(2 4)"),
+    3: ("(0 1 3 4 2)", "(0 4 3 1)", "(2 4)"),
+}
+
+
+@pytest.mark.parametrize("branch", range(4))
+@pytest.mark.parametrize("steps", [8, 32, 1024])
+def test_pinned_permutations(steps, branch):
+    t = monodromy_triple(TrackingConfig(steps=steps, branch=branch))
+    assert tuple(map(cycle_string, (t.pi0, t.pi1, t.pi_inf))) == \
+        PINNED_CYCLES[branch]
+
+
+@pytest.mark.parametrize("ratio, halvings", [(8.0, 7), (19.0, 58)])
+def test_pinned_infinity_halvings(ratio, halvings):
+    # recorded from the tracker that started Newton at the old roots: the
+    # secant start moves no step across the ratio test
+    cfg = TrackingConfig(tol_match_ratio=ratio)
+    res = track_loop(loop_spec(cfg, "inf"), cfg)
+    assert res.steps_used - res.waypoints == halvings
+
+
+def test_zero_move_step_has_no_secant():
+    # a repeated waypoint commits a step that does not move b, after which
+    # b_cur == b_prev: the next step starts Newton at the old roots rather
+    # than dividing by zero, and lands on the roots of the path without it
+    b0 = b_from_t(0.5, 0)
+    xs0 = roots5(1.0, b0)
+    got = track_path([0.5, 0.45, 0.45, 0.4], b0, xs0, 1e-10, 3.0, 40, 100)
+    want = track_path([0.5, 0.45, 0.4], b0, xs0, 1e-10, 3.0, 40, 100)
+    assert got[4:] == (3, 0)
+    assert got[0] == want[0]
+    assert max(abs(x - y) for x, y in zip(got[1], want[1])) < 1e-10
+
+
+def test_repeated_waypoints_keep_the_permutation(monkeypatch):
+    # every waypoint twice: each loop commits twice its steps, and the
+    # permutations and the halving count are those recorded from the
+    # tracker that started Newton at the old roots
+    real = tracking.contour
+    monkeypatch.setattr(tracking, "contour",
+                        lambda spec: [t for t in real(spec)
+                                      for _ in (0, 1)][1:])
+    pinned = {0: (2, 4, 1, 0, 3), 1: (3, 0, 2, 4, 1), "inf": (2, 1, 0, 3, 4)}
+    for cfg, halvings in ((TrackingConfig(), 0), (HALVING_CFG, 7)):
+        for p, pi in pinned.items():
+            res = track_loop(loop_spec(cfg, p), cfg)
+            assert res.pi == pi
+            assert res.waypoints == 96
+            assert res.steps_used - res.waypoints == \
+                (halvings if p == "inf" else 0)
 
 
 def test_monodromy_triple(triple):
@@ -426,16 +501,29 @@ def test_track_path_matches_reference(puncture, base_t, branch,
 @given(t_re=st.floats(-1.5, 2.5), t_im=st.floats(-1.5, 1.5),
        branch=st.integers(0, 3),
        step=st.complex_numbers(max_magnitude=1.5),
+       back=st.none() | st.complex_numbers(max_magnitude=0.5),
        ratio=st.floats(2.0, 5.0),
        tol=st.sampled_from([1e-10, 1e-14, 0.0]))
-def test_try_step_matches_reference(t_re, t_im, branch, step, ratio, tol):
-    # long steps fail the branch or the match test; tol=0 stalls Newton
+def test_try_step_matches_reference(t_re, t_im, branch, step, back, ratio,
+                                    tol):
+    # long steps fail the branch or the match test; tol=0 stalls Newton; a
+    # step with history predicts from an earlier t_cur - back, whose roots
+    # are paired with the current ones by nearness (a far or zero back, or
+    # another branch, gives a poor or a zero secant)
     t_cur = complex(t_re, t_im)
     t_target = t_cur + step
     assume(min(abs(t_cur), abs(t_target), abs(t_cur - 1)) > 1e-3)
     b_cur = b_from_t(t_cur, branch)
     xs_cur = list(roots5(1.0, b_cur))
-    args = (t_target, b_cur, xs_cur, tol, ratio)
+    if back is None:
+        b_prev, xs_prev = b_cur, xs_cur
+    else:
+        t_prev = t_cur - back
+        assume(min(abs(t_prev), abs(t_prev - 1)) > 1e-3)
+        b_prev = b_from_t(t_prev, branch)
+        roots_prev = roots5(1.0, b_prev)
+        xs_prev = [min(roots_prev, key=lambda p: abs(p - c)) for c in xs_cur]
+    args = (t_target, b_cur, xs_cur, b_prev, xs_prev, tol, ratio)
     assert _try_step(*args) == reference_try_step(*args)
 
 
@@ -489,10 +577,14 @@ def _recorded_steps(monkeypatch, cfg):
 def test_try_step_outcomes_match_reference(monkeypatch):
     # with a ratio of 8 at 32 steps per circle the contours take steps the
     # separation bound accepts, steps only the 20-distance test accepts,
-    # and steps that are halved
+    # and steps that are halved, all but each loop's first with a secant
+    # history
     cfg = HALVING_CFG
     seen = {"bound": 0, "full test": 0, "rejected": 0}
-    for args, result in _recorded_steps(monkeypatch, cfg):
+    calls = _recorded_steps(monkeypatch, cfg)
+    no_history = [args for args, _ in calls if args[1] == args[3]]
+    assert len(no_history) == 3
+    for args, result in calls:
         assert result == reference_try_step(*args)
         if result is None:
             seen["rejected"] += 1
@@ -518,7 +610,7 @@ def test_try_step_rejects_between_bound_and_ratio():
     xs[i] = ys[i] + 0.28 * (ys[j] - ys[i])
     polished, _ = reference_newton(xs, b, 1e-10)
     assert abs(polished[i] - ys[i]) < 1e-9 * s
-    args = (0.5, b, xs, 1e-10, 3.0)
+    args = (0.5, b, xs, b, xs, 1e-10, 3.0)
     assert _try_step(*args) is None
     assert reference_try_step(*args) is None
 
@@ -540,12 +632,13 @@ def _abs_calls_per_step(monkeypatch, steps):
 
 def test_step_work_guard(monkeypatch):
     # the separation bound decides every step of the loop around 1, so a
-    # committed step computes 15 root distances, not 35; at 1024 steps per
-    # circle the rest of a step takes below 30 abs calls
-    assert _abs_calls_per_step(monkeypatch, 1024) <= 45
+    # committed step computes 15 root distances, not 35, and 5 for the
+    # branch; at 1024 steps per circle the secant start leaves each root one
+    # Newton update, two abs calls with no separate residual, 10 in all
+    assert _abs_calls_per_step(monkeypatch, 1024) <= 32
 
 
 def test_step_work_guard_at_the_default(monkeypatch):
     # the same guard at the default resolution, where Newton needs more
-    # iterations per step: about 31 abs calls besides the 15 distances
-    assert _abs_calls_per_step(monkeypatch, TrackingConfig.steps) <= 50
+    # iterations per step: about 16 abs calls besides the 20 above
+    assert _abs_calls_per_step(monkeypatch, TrackingConfig.steps) <= 38
