@@ -71,6 +71,11 @@ class LabeledPolygon(namedtuple("LabeledPolygon", "n labels diags")):
                     raise ValueError(f"crossing chords {c1} and {c2}")
         return tuple.__new__(cls, (n, labels, diags))
 
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, behind _replace, would skip __new__
+        return cls(*iterable)
+
     def to_text(self) -> str:
         labels = ",".join(map(str, self.labels))
         diags = ", ".join(f"({a},{b})" for a, b in self.diags)

@@ -56,11 +56,12 @@ a segment is reported, not used: the tests above decide.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .tracking import (
     _C,
     _I_POWERS,
+    DEFAULT_STEPS,
     TrackingConfig,
     TrackingError,
     _track_loop,
@@ -75,17 +76,12 @@ _DRIFT = _C ** 0.25 / 4 * _UP          # |b'| = _DRIFT |t|^-5/4 |1-t|^-3/4
 _BRANCH = 0.7                          # below 1 / sqrt(2)
 
 
-class Discs(NamedTuple):
+class Discs(namedtuple("Discs", "beta ys delta rho radius lower")):
     """The proved discs of one waypoint: the inclusion disc
     D(ys[i], rho[i]) and the Rouché disc D(ys[i], radius[i]) hold the same
     one root, and |P| >= lower[i] on the Rouché disc's boundary."""
 
-    beta: complex
-    ys: tuple
-    delta: float
-    rho: tuple
-    radius: tuple
-    lower: tuple
+    __slots__ = ()
 
 
 def residual_bound(y: complex, beta: complex) -> float:
@@ -246,11 +242,12 @@ class _Walk:
         return tuple(pi)
 
 
-class LoopCertificate(NamedTuple):
-    pi: tuple               # certified permutation of the loop
-    margin: float           # smallest relative Rouché margin L_i / B - 1
-    waypoints: int          # segments of the contour before bisection
-    bisections: int         # segments the certificate had to bisect
+LoopCertificate = namedtuple("LoopCertificate", (
+    "pi",           # certified permutation of the loop
+    "margin",       # smallest relative Rouché margin L_i / B - 1
+    "waypoints",    # segments of the contour before bisection
+    "bisections",   # segments the certificate had to bisect
+))
 
 
 def certify_loop(spec, cfg: TrackingConfig) -> LoopCertificate:
@@ -266,6 +263,6 @@ def certify_loop(spec, cfg: TrackingConfig) -> LoopCertificate:
 
 def certify(cfg: TrackingConfig | None = None) -> dict:
     """Certificates of the three loops of ``cfg``'s geometry, always at the
-    default :attr:`TrackingConfig.steps`, keyed by puncture."""
-    cfg = (cfg or TrackingConfig()).with_steps(TrackingConfig.steps)
+    default :data:`tracking.DEFAULT_STEPS`, keyed by puncture."""
+    cfg = (cfg or TrackingConfig()).with_steps(DEFAULT_STEPS)
     return {p: certify_loop(loop_spec(cfg, p), cfg) for p in (0, 1, "inf")}

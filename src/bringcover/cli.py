@@ -16,16 +16,20 @@ extras from the same objects, and ``export`` builds only its target.
 Exit codes: 0 all gated checks pass, 1 some check failed (or, for
 ``export``, the tracked monodromy its target needs could not be built), 2
 usage or I/O error.
+
+:func:`run` is the process entry (``python -m bringcover.cli`` and the
+``bringcover`` script); :func:`main` returns the exit code and leaves
+the interpreter's state alone, so it can be called in process.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import sys
 
 from . import __version__, cells, cover, verify
-from .tracking import TrackingConfig, TrackingError
+from .tracking import DEFAULT_STEPS, TrackingConfig, TrackingError
 
 _TRACKING_FLAGS = ("steps", "seed", "base_t", "radius0", "radius1",
                    "radius_inf", "tol_residual", "tol_match_ratio",
@@ -39,7 +43,7 @@ EXPORT_TARGETS = {"D": "dessin_d", "I4": "i4", "union": "union",
 def _add_tracking_flags(p):
     p.add_argument("--steps", type=int, default=None,
                    help="waypoints per loop circle "
-                        f"(default {TrackingConfig.steps})")
+                        f"(default {DEFAULT_STEPS})")
     p.add_argument("--seed", type=int, default=None,
                    help="seed for the sampled identity checks")
     p.add_argument("--base-t", type=float, default=None,
@@ -139,6 +143,7 @@ def _cmd_report(args) -> int:
         print(f"bringcover {__version__}")
     _print_report(report)
     if args.json:
+        import json  # only a --json run pays for it
         payload = report if payload_hook is None \
             else {**report, **payload_hook(ctx)}
         _write(args.json, json.dumps(payload, indent=2, sort_keys=True)
@@ -189,5 +194,19 @@ def main(argv=None) -> int:
     return _cmd_report(args)
 
 
+def run(argv=None):
+    """Run :func:`main` as a whole process and exit with its code.
+
+    Every object the run made lives until the process ends, so the
+    collections of interpreter shutdown would only walk them: they are
+    frozen out of the collector's reach first.  Shutdown still flushes
+    and closes the standard streams and files."""
+    try:
+        code = main(argv)
+    finally:
+        gc.freeze()
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -25,6 +25,8 @@ INF = complex("inf")
 
 # the Aberth seeds' unit directions, turned off the real axis
 _SEEDS = tuple(cmath.rect(1.0, 0.4 + 0.4 * math.pi * k) for k in range(5))
+# for each root index, the other four in increasing order
+_OTHERS = tuple(tuple(j for j in range(5) if j != i) for i in range(5))
 
 
 def _label_order(roots, scale: float) -> list:
@@ -47,7 +49,9 @@ def roots5(a: complex, b: complex, tol: float = 1e-12) -> tuple:
             biggest = 0.0
             for i, x in enumerate(xs):
                 f = x * x * x * x * x + a * x + b
-                s = sum(1 / (x - y) for j, y in enumerate(xs) if j != i)
+                s = 0
+                for j in _OTHERS[i]:
+                    s += 1 / (x - xs[j])
                 w = f / (5 * x * x * x * x + a - f * s)
                 xs[i] = x - w
                 biggest = max(biggest, abs(w))

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, replace
 
 from .quintic import b_from_t, roots5
 
@@ -52,6 +51,9 @@ _NEWTON_ITERS = range(_NEWTON_CAP)    # reused: no range() per root
 # the halvings a loop may always spend at the default resolution or finer:
 # what budget_factor allowed at the former default of 1024 steps
 _MIN_HALVINGS = 64
+# the default waypoints per loop circle, and the resolution certify.certify
+# walks whatever steps a config asks for
+DEFAULT_STEPS = 32
 
 
 class TrackingError(RuntimeError):
@@ -60,65 +62,73 @@ class TrackingError(RuntimeError):
     matched to its start."""
 
 
-@dataclass(frozen=True)
-class TrackingConfig:
-    base_t: float = 0.5
-    branch: int = 0
-    radius0: float = 0.25
-    radius1: float = 0.25
-    radius_inf: float = 8.0
-    steps: int = 32
-    tol_residual: float = 1e-10
-    tol_match_ratio: float = 3.0
-    tol_lambda: float = 1e-8
-    # a loop may spend budget_factor * (waypoint count) committed steps
-    # (see budget); halvings beyond that mean the requested resolution is
-    # too coarse and the loop fails rather than silently degrading
-    max_depth: int = 40
-    budget_factor: float = 1.05
-    seed: int = 0
+class TrackingConfig(namedtuple("TrackingConfig", (
+        "base_t", "branch", "radius0", "radius1", "radius_inf", "steps",
+        "tol_residual", "tol_match_ratio", "tol_lambda",
+        # a loop may spend budget_factor * (waypoint count) committed
+        # steps (see budget); halvings beyond that mean the requested
+        # resolution is too coarse and the loop fails rather than
+        # silently degrading
+        "max_depth", "budget_factor", "seed"))):
+    """The loop geometry, the kernel's tolerances and the sampling seed.
 
-    def __post_init__(self):
+    Validated on construction, by ``_replace`` and ``with_steps`` too: a
+    config that exists can be tracked."""
+
+    __slots__ = ()
+
+    def __new__(cls, base_t: float = 0.5, branch: int = 0,
+                radius0: float = 0.25, radius1: float = 0.25,
+                radius_inf: float = 8.0, steps: int = DEFAULT_STEPS,
+                tol_residual: float = 1e-10, tol_match_ratio: float = 3.0,
+                tol_lambda: float = 1e-8, max_depth: int = 40,
+                budget_factor: float = 1.05, seed: int = 0):
         # a nan ratio makes every comparison of the test false, and a ratio
         # below 1 accepts a root nearer another old root than its own
-        if not (math.isfinite(self.tol_match_ratio)
-                and self.tol_match_ratio >= 1):
+        if not (math.isfinite(tol_match_ratio) and tol_match_ratio >= 1):
             raise ValueError("tol_match_ratio must be a finite number >= 1, "
-                             f"got {self.tol_match_ratio!r}")
+                             f"got {tol_match_ratio!r}")
         # a nan tolerance switches its check off the same way
-        for name in ("tol_residual", "tol_lambda"):
-            tol = getattr(self, name)
+        for name, tol in (("tol_residual", tol_residual),
+                          ("tol_lambda", tol_lambda)):
             if not (math.isfinite(tol) and tol > 0):
                 raise ValueError(f"{name} must be a finite number > 0, "
                                  f"got {tol!r}")
         # outside (0, 1) the tail of a finite loop runs through the other
         # finite puncture
-        if not 0 < self.base_t < 1:
+        if not 0 < base_t < 1:
             raise ValueError("base_t must lie strictly between 0 and 1, "
-                             f"got {self.base_t!r}")
+                             f"got {base_t!r}")
         # otherwise a bad branch fails only when a loop starts and a nan
         # budget_factor in the middle of tracking, while a negative
         # max_depth, meaningless, would act as 0 (no halving)
-        if not (isinstance(self.branch, int) and 0 <= self.branch <= 3):
-            raise ValueError("branch must be an int in 0..3, "
-                             f"got {self.branch!r}")
-        if not (isinstance(self.max_depth, int) and self.max_depth >= 0):
+        if not (isinstance(branch, int) and 0 <= branch <= 3):
+            raise ValueError(f"branch must be an int in 0..3, got {branch!r}")
+        if not (isinstance(max_depth, int) and max_depth >= 0):
             raise ValueError("max_depth must be an int >= 0, "
-                             f"got {self.max_depth!r}")
-        if not (math.isfinite(self.budget_factor)
-                and self.budget_factor >= 1):
+                             f"got {max_depth!r}")
+        if not (math.isfinite(budget_factor) and budget_factor >= 1):
             raise ValueError("budget_factor must be a finite number >= 1, "
-                             f"got {self.budget_factor!r}")
-        # a config that exists can be tracked: every loop can be built, at
-        # its own steps and at the steps certify.certify walks whatever
-        # steps is (the spec is copied here: with_steps would recurse)
+                             f"got {budget_factor!r}")
+        self = tuple.__new__(cls, (
+            base_t, branch, radius0, radius1, radius_inf, steps,
+            tol_residual, tol_match_ratio, tol_lambda, max_depth,
+            budget_factor, seed))
+        # every loop can be built, at its own steps and at the steps
+        # certify.certify walks whatever steps is
         for puncture in (0, 1, "inf"):
             spec = loop_spec(self, puncture)
             loop_entry(spec)
-            loop_entry(replace(spec, steps=TrackingConfig.steps))
+            loop_entry(spec._replace(steps=DEFAULT_STEPS))
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, behind _replace, would skip __new__
+        return cls(*iterable)
 
     def with_steps(self, steps: int) -> "TrackingConfig":
-        return replace(self, steps=steps)
+        return self._replace(steps=steps)
 
     def budget(self, waypoints: int) -> int:
         """The committed steps a loop of ``waypoints`` segments may spend:
@@ -127,30 +137,36 @@ class TrackingConfig:
         explicit ``steps`` gives, budget_factor alone holds, so a contour
         far too coarse still fails loudly."""
         budget = int(self.budget_factor * waypoints)
-        if self.steps >= TrackingConfig.steps:
+        if self.steps >= DEFAULT_STEPS:
             budget = max(budget, waypoints + _MIN_HALVINGS)
         return budget
 
 
-@dataclass(frozen=True)
-class LoopSpec:
-    puncture: object            # 0, 1 or "inf"
-    base_t: complex
-    radius: float
-    steps: int
+class LoopSpec(namedtuple("LoopSpec", (
+        "puncture",           # 0, 1 or "inf"
+        "base_t", "radius", "steps"))):
+    """One loop: its puncture, base point, circle radius and the
+    waypoints on its circle.  Validated like :class:`TrackingConfig`."""
 
-    def __post_init__(self):
-        if self.puncture not in (0, 1, "inf"):
-            raise ValueError(f"unknown puncture {self.puncture!r}")
-        if self.base_t in (0, 1):
+    __slots__ = ()
+
+    def __new__(cls, puncture, base_t: complex, radius: float, steps: int):
+        if puncture not in (0, 1, "inf"):
+            raise ValueError(f"unknown puncture {puncture!r}")
+        if base_t in (0, 1):
             raise ValueError("base point must avoid the punctures")
         # a float count would fail only mid-track, in range()
-        if not (isinstance(self.steps, int) and self.steps >= 4):
+        if not (isinstance(steps, int) and steps >= 4):
             raise ValueError("need an int of at least 4 steps on the circle, "
-                             f"got {self.steps!r}")
-        if not (math.isfinite(self.radius) and self.radius > 0):
+                             f"got {steps!r}")
+        if not (math.isfinite(radius) and radius > 0):
             raise ValueError("loop radius must be a finite number > 0, "
-                             f"got {self.radius!r}")
+                             f"got {radius!r}")
+        return tuple.__new__(cls, (puncture, base_t, radius, steps))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def loop_spec(cfg: TrackingConfig, puncture) -> LoopSpec:
@@ -204,10 +220,12 @@ def contour(spec: LoopSpec) -> list:
     else:
         tail = [t0 + (entry - t0) * k / n_tail for k in range(n_tail + 1)]
 
-    theta0 = math.atan2((entry - center).imag, (entry - center).real)
+    offset = entry - center
+    theta0 = math.atan2(offset.imag, offset.real)
+    radius = abs(offset)
     angles = (theta0 + 2 * math.pi * k / spec.steps
               for k in range(1, spec.steps + 1))
-    circle = [center + abs(entry - center) * complex(math.cos(a), math.sin(a))
+    circle = [center + radius * complex(math.cos(a), math.sin(a))
               for a in angles]
     return tail + circle + tail[-2::-1]
 

@@ -25,7 +25,7 @@ pass iff all non-info checks pass.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from math import factorial
 
 from . import __version__, cells, cover, dessins, quintic
@@ -37,7 +37,7 @@ from .perms import (
     regular_representation,
     symmetric_group,
 )
-from .tracking import TrackingConfig
+from .tracking import DEFAULT_STEPS, TrackingConfig
 
 
 class Context:
@@ -443,7 +443,7 @@ def check_monodromy_quality(ctx):
             "product_is_identity": t.product_is_identity(),
             # guaranteed by monodromy_triple, which raises otherwise
             "inf_direct_equals_composite": True,
-            "certified_steps": TrackingConfig.steps,
+            "certified_steps": DEFAULT_STEPS,
             "rouche_margin": {str(p): c.margin for p, c in cert.items()},
             "bisections": {str(p): c.bisections for p, c in cert.items()},
             "tracked_equals_certified": all(
@@ -538,7 +538,7 @@ def run_checks(config: TrackingConfig | Context | None = None,
         r["status"] in ("pass", "info") for r in results) else "fail"
     return {
         "version": __version__,
-        "config": asdict(ctx.config),
+        "config": ctx.config._asdict(),
         "checks": results,
         "status": status,
     }

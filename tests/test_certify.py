@@ -18,6 +18,7 @@ from bringcover.certify import (
 )
 from bringcover.quintic import b_from_t, roots5
 from bringcover.tracking import (
+    DEFAULT_STEPS,
     TrackingConfig,
     contour,
     loop_spec,
@@ -249,7 +250,7 @@ def test_segment_through_a_puncture_has_no_bound():
 
 def test_default_certificate_needs_no_bisection():
     # at the default and at half of it (ROADMAP items 5 and 6)
-    steps = TrackingConfig.steps
+    steps = DEFAULT_STEPS
     for n in (steps, steps // 2):
         cfg = TrackingConfig(steps=n)
         for p in (0, 1, "inf"):
@@ -263,7 +264,7 @@ def test_default_certificate_needs_no_bisection():
 def test_default_is_the_smallest_such_power_of_two():
     # a quarter of the default needs bisection, so half of it would fail
     # the rule that set the default
-    cfg = TrackingConfig(steps=TrackingConfig.steps // 4)
+    cfg = TrackingConfig(steps=DEFAULT_STEPS // 4)
     certs = {p: certify_loop(loop_spec(cfg, p), cfg) for p in (0, 1, "inf")}
     assert any(c.bisections for c in certs.values())
     # bisection proves the same permutations
@@ -274,7 +275,7 @@ def test_default_is_the_smallest_such_power_of_two():
 
 def test_certificate_keeps_the_geometry_but_not_the_steps():
     certs = certify.certify(TrackingConfig(steps=1024, base_t=0.4))
-    steps = TrackingConfig.steps
+    steps = DEFAULT_STEPS
     assert {c.waypoints for c in certs.values()} == \
         {steps + 2 * max(8, steps // 8)}
     tracked = {p: track_loop(loop_spec(TrackingConfig(base_t=0.4), p),
@@ -308,7 +309,7 @@ def test_quality_reports_the_certificate():
                if r["name"] == "monodromy.quality")
     got = row["observed"]
     assert row["status"] == "pass"
-    assert got["certified_steps"] == TrackingConfig.steps
+    assert got["certified_steps"] == DEFAULT_STEPS
     assert set(got["rouche_margin"]) == set(got["bisections"]) == \
         {"0", "1", "inf"}
     assert min(got["rouche_margin"].values()) > 0

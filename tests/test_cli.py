@@ -1,13 +1,15 @@
-import dataclasses
+import gc
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from bringcover import cells, cover, monodromy, perms, verify
+from bringcover import cells, cli, cover, monodromy, perms, verify
 from bringcover.cli import _TRACKING_FLAGS, build_parser, main
-from bringcover.tracking import TrackingConfig
+from bringcover.tracking import DEFAULT_STEPS, TrackingConfig
 
 
 def _record_calls(monkeypatch, *fns) -> list:
@@ -63,7 +65,7 @@ def test_report_schema():
 def test_report_echoes_full_config():
     cfg = TrackingConfig(steps=256, max_depth=30, budget_factor=1.1, seed=7)
     report = verify.run_checks(cfg, only="cells")
-    assert report["config"] == dataclasses.asdict(cfg)
+    assert report["config"] == cfg._asdict()
 
 
 def test_only_filter():
@@ -180,7 +182,7 @@ def test_verify_all_at_the_old_default_passes(tmp_path, capsys):
     assert report["config"]["steps"] == 1024
     quality = next(c for c in report["checks"]
                    if c["name"] == "monodromy.quality")
-    assert quality["observed"]["certified_steps"] == TrackingConfig.steps
+    assert quality["observed"]["certified_steps"] == DEFAULT_STEPS
     assert quality["observed"]["tracked_equals_certified"] is True
     capsys.readouterr()
 
@@ -311,6 +313,49 @@ def test_bad_tracking_values_fail_the_config(values):
     # the config, not the CLI, holds the rule: one that exists can be tracked
     with pytest.raises(ValueError):
         TrackingConfig(**values)
+
+
+def test_main_leaves_the_collector_alone(tmp_path):
+    # only the process entry freezes; main runs in process for tests,
+    # perfbench's tracer and its probe
+    before = gc.get_freeze_count()
+    assert main(["export", "--target", "I4",
+                 "--path", str(tmp_path / "i4.dot")]) == 0
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("flags, code", [
+    (["--target", "I4"], 0),
+    (["--target", "sheet", "--steps", "4"], 1),   # main returns 1
+    (["--target", "I4", "--radius-inf", "1.001"], 2),  # SystemExit in main
+    (["--target", "I4", "--steps", "many"], 2),   # argparse's own exit
+])
+def test_process_entry_exits_with_the_code_of_main(tmp_path, flags, code):
+    path = tmp_path / "out.dot"
+    proc = subprocess.run(
+        [sys.executable, "-m", "bringcover.cli", "export", "--path",
+         str(path), *flags],
+        capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
+    assert path.exists() == (code == 0)
+
+
+def test_report_without_json_loads_neither_json_nor_typing():
+    # -S: no site hook may preload either module and hide the cost
+    code = ("import sys\n"
+            "from bringcover import cli\n"
+            "assert cli.main(['verify-all']) == 0\n"
+            "print([m for m in ('json', 'typing') if m in sys.modules])\n")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_console_script_is_the_process_entry():
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert 'bringcover = "bringcover.cli:run"' in text
 
 
 def test_console_script():

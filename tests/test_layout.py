@@ -10,8 +10,14 @@ SRC = Path(bringcover.__file__).parent
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
+# namedtuple's public methods, underscored only to keep clear of field
+# names; a value type that overrides one is called through namedtuple
+NAMEDTUPLE_API = ("_make", "_replace", "_asdict")
+
+
 def _is_private(name):
-    return name.startswith("_") and not name.endswith("__")
+    return (name.startswith("_") and not name.endswith("__")
+            and name not in NAMEDTUPLE_API)
 
 
 def _references(node):
@@ -63,19 +69,28 @@ def _imported_modules(tree):
             yield node.module
 
 
+def _importers(module):
+    return sorted(path.name for path in SRC.glob("*.py")
+                  if module in _imported_modules(ast.parse(path.read_text())))
+
+
 def test_only_config_modules_import_dataclasses():
-    # the value types are namedtuples, which generate no code at import;
-    # dataclasses stays with the configs that dataclasses.replace/asdict
-    # act on (TrackingConfig, LoopSpec, CheckDef)
-    users = sorted(path.name for path in SRC.glob("*.py")
-                   if "dataclasses" in _imported_modules(
-                       ast.parse(path.read_text())))
-    assert users == ["tracking.py", "verify.py"]
+    # the value types and the tracking configs are namedtuples, which
+    # generate no code at import; dataclasses stays with CheckDef, which
+    # perfbench's tracer rebuilds by dataclasses.replace
+    assert _importers("dataclasses") == ["verify.py"]
+
+
+def test_no_module_imports_typing():
+    # typing costs a cold process milliseconds to import; the value types
+    # are collections.namedtuple subclasses instead of typing.NamedTuple
+    assert _importers("typing") == []
 
 
 def test_cli_takes_only_the_config_from_tracking():
     # the rule for a loop geometry that can be tracked lives in
-    # TrackingConfig; the CLI builds one and reports what it raises
+    # TrackingConfig; the CLI builds one and reports what it raises, and
+    # reads only the default steps for its help text
     taken = []
     for node in ast.walk(ast.parse((SRC / "cli.py").read_text())):
         if isinstance(node, ast.ImportFrom):
@@ -86,4 +101,5 @@ def test_cli_takes_only_the_config_from_tracking():
                 assert "tracking" not in (a.name for a in node.names)
         elif isinstance(node, ast.Import):
             assert "bringcover.tracking" not in (a.name for a in node.names)
-    assert sorted(taken) == ["TrackingConfig", "TrackingError"]
+    assert sorted(taken) == ["DEFAULT_STEPS", "TrackingConfig",
+                             "TrackingError"]

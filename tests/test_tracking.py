@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 
 import pytest
@@ -20,6 +19,7 @@ from bringcover.tracking import (
     _C,
     _I_POWERS,
     _NEWTON_CAP,
+    DEFAULT_STEPS,
     LoopSpec,
     TrackingConfig,
     TrackingError,
@@ -244,8 +244,8 @@ def test_step_doubling_invariance(triple):
 
 def test_radius_perturbation_invariance(triple):
     for factor in (0.8, 1.2):
-        cfg = dataclasses.replace(
-            CFG, radius0=CFG.radius0 * factor, radius1=CFG.radius1 * factor,
+        cfg = CFG._replace(
+            radius0=CFG.radius0 * factor, radius1=CFG.radius1 * factor,
             radius_inf=CFG.radius_inf * factor)
         t = monodromy_triple(cfg)
         assert (t.pi0, t.pi1, t.pi_inf) == \
@@ -255,7 +255,7 @@ def test_radius_perturbation_invariance(triple):
 def test_conjugation_robustness(triple):
     # cycle types independent of base point and branch
     for base_t, branch in ((0.4, 1), (0.6, 2)):
-        cfg = dataclasses.replace(CFG, base_t=base_t, branch=branch)
+        cfg = CFG._replace(base_t=base_t, branch=branch)
         t = monodromy_triple(cfg)
         assert t.cycle_types() == triple.cycle_types()
 
@@ -410,7 +410,7 @@ def test_budget_floor_holds_from_the_default_resolution():
     # from the default resolution up a loop may halve 64 steps, what
     # budget_factor allowed at the former default of 1024; below it the
     # factor alone holds
-    for steps in (TrackingConfig.steps, 64, 256):
+    for steps in (DEFAULT_STEPS, 64, 256):
         waypoints = steps + 2 * max(8, steps // 8)
         assert TrackingConfig(steps=steps).budget(waypoints) == waypoints + 64
     for steps in (1024, 4096):
@@ -442,8 +442,8 @@ def test_kernel_collision_floor():
 @pytest.mark.parametrize("puncture", [0, 1, "inf"])
 def test_contour_circle_matches_reference(puncture, steps):
     for base_t in (0.5, 0.37):
-        spec = dataclasses.replace(loop_spec(CFG, puncture), steps=steps,
-                                   base_t=complex(base_t))
+        spec = loop_spec(CFG, puncture)._replace(steps=steps,
+                                                 base_t=complex(base_t))
         ts = contour(spec)
         n_tail = max(8, steps // 8)
         assert ts[n_tail + 1:n_tail + 1 + steps] == reference_circle(spec)
@@ -533,7 +533,7 @@ def test_config_rejects_bad_match_ratio(ratio):
     with pytest.raises(ValueError, match="tol_match_ratio"):
         TrackingConfig(tol_match_ratio=ratio)
     with pytest.raises(ValueError, match="tol_match_ratio"):
-        dataclasses.replace(CFG, tol_match_ratio=ratio)
+        CFG._replace(tol_match_ratio=ratio)
 
 
 @pytest.mark.parametrize("value, name", [
@@ -548,7 +548,7 @@ def test_config_rejects_bad_tolerance(value, name):
     # a nan tolerance would switch its check off; a bad branch would fail
     # only when a loop starts, a nan budget_factor only mid-track
     with pytest.raises(ValueError, match=name):
-        dataclasses.replace(CFG, **{name: value})
+        CFG._replace(**{name: value})
 
 
 @pytest.mark.parametrize("base_t", [0.0, 1.0, 1.5, -0.5, math.nan])
@@ -641,4 +641,4 @@ def test_step_work_guard(monkeypatch):
 def test_step_work_guard_at_the_default(monkeypatch):
     # the same guard at the default resolution, where Newton needs more
     # iterations per step: about 16 abs calls besides the 20 above
-    assert _abs_calls_per_step(monkeypatch, TrackingConfig.steps) <= 38
+    assert _abs_calls_per_step(monkeypatch, DEFAULT_STEPS) <= 38

@@ -1,8 +1,9 @@
-"""The value types are namedtuple subclasses with the semantics of the
-frozen dataclasses they replace: the same fields in the same order, the
-same repr, and equality, hashing and (for the cells types) ordering on
-the field tuple.  Each case is compared with a frozen dataclass built
-from the recorded field list."""
+"""The value types and the tracking configs are namedtuple subclasses with
+the semantics of the frozen dataclasses they replace: the same fields in
+the same order, the same repr, and equality, hashing and (for the cells
+types) ordering on the field tuple.  Each case is compared with a frozen
+dataclass built from the recorded field list.  A type that validates in
+``__new__`` validates in ``_make`` and ``_replace`` too."""
 
 import dataclasses
 import operator
@@ -11,7 +12,7 @@ import pytest
 
 from bringcover import cells, cover, dessins, monodromy, perms, quintic
 from bringcover import tracking, verify
-from bringcover.tracking import TrackingConfig, loop_spec, track_loop
+from bringcover.tracking import LoopSpec, TrackingConfig, loop_spec, track_loop
 
 # type -> (its dataclass fields, in declaration order; order=True?)
 FIELDS = {
@@ -33,6 +34,10 @@ FIELDS = {
         "waypoints max_halving_depth", False),
     monodromy.MonodromyTriple: (
         "pi0 pi1 pi_inf loops", False),
+    TrackingConfig: (
+        "base_t branch radius0 radius1 radius_inf steps tol_residual "
+        "tol_match_ratio tol_lambda max_depth budget_factor seed", False),
+    LoopSpec: ("puncture base_t radius steps", False),
 }
 ORDER = (operator.lt, operator.le, operator.gt, operator.ge)
 
@@ -70,6 +75,9 @@ def samples():
         monodromy.MonodromyTriple: [
             monodromy.monodromy_triple(cfg),
             monodromy.monodromy_triple(cfg.with_steps(64))],
+        TrackingConfig: [cfg, cfg.with_steps(64),
+                         TrackingConfig(base_t=0.4, seed=7)],
+        LoopSpec: [loop_spec(cfg, p) for p in (0, 1, "inf")],
     }
 
 
@@ -116,6 +124,21 @@ def test_polygon_validates_in_new(labels, diags, message):
         cells.LabeledPolygon(5, labels, diags)
     with pytest.raises(ValueError, match="at least 3"):
         cells.LabeledPolygon(2, (1, 2), ())
+
+
+@pytest.mark.parametrize("value, change, message", [
+    (cells.polygon(5, (1, 2, 3, 4, 5), [(0, 2)]),
+     {"diags": ((0, 2), (0, 2))}, "repeated diagonal"),
+    (TrackingConfig(), {"steps": 3}, "at least 4 steps"),
+    (TrackingConfig(), {"radius_inf": 1.001}, "inradius"),
+    (loop_spec(TrackingConfig(), 0), {"radius": -1.0}, "radius"),
+], ids=lambda x: type(x).__name__ if isinstance(x, tuple) else None)
+def test_replace_and_make_validate_as_new(value, change, message):
+    # namedtuple's own _make, behind _replace, bypasses __new__
+    with pytest.raises(ValueError, match=message):
+        value._replace(**change)
+    with pytest.raises(ValueError, match=message):
+        type(value)._make({**value._asdict(), **change}.values())
 
 
 def test_cached_values_stay_outside_equality(samples):
