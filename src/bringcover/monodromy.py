@@ -15,10 +15,27 @@ all three by one relabeling of the roots).  That track is a transposition,
 its own inverse, so it is also the pi_inf of the constellation's product
 relation pi_inf . pi1 . pi0 = 1 (Lando and Zvonkin 2004), and
 :func:`monodromy_triple` requires exactly that.
+
+The three loops are independent continuations.  From ``FORK_STEPS``
+steps per circle on, where a loop takes longer than a fork and join, and
+when ``os.fork`` exists and the process may run on at least two CPUs,
+:func:`monodromy_triple` tracks the loops around 0 and 1 in two forked
+children while its own process tracks the loop around infinity.  The
+default resolution and its doubling, and :mod:`certify`'s walk, stay
+serial.  Each child calls the same :func:`track_loop`, writes its
+``TrackResult`` fields to a pipe with :mod:`marshal`, and leaves by
+``os._exit``, so it runs no exit handler and flushes no buffer it
+inherited; it writes nothing when the loop raises.  The parent reaps
+both children before it returns or raises, tracks again any loop whose
+child sent nothing, and resolves errors in the serial order 0, 1,
+infinity, so a caller sees the results and the first exception of the
+serial path.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
 from collections import namedtuple
 from functools import cached_property
 
@@ -32,7 +49,13 @@ from .perms import (
     inverse,
     regular_representation,
 )
-from .tracking import TrackingConfig, loop_spec, track_loop
+from .tracking import TrackResult, TrackingConfig, loop_spec, track_loop
+
+# the resolution from which the loops around 0 and 1 are tracked in
+# forked children: one fork and join costs ~2 ms and one loop ~8 ms at
+# 512 steps, the least power of two at which the forked triple measured
+# faster than the serial one every time (at 256 it was mostly slower)
+FORK_STEPS = 512
 
 
 class MonodromyTriple(namedtuple("MonodromyTriple", (
@@ -76,7 +99,11 @@ def monodromy_triple(cfg: TrackingConfig | None = None) -> MonodromyTriple:
     direct infinity track is inverse(compose(pi1, pi0)), as the contours
     fix (see the module docstring)."""
     cfg = cfg or TrackingConfig()
-    loops = {p: track_loop(loop_spec(cfg, p), cfg) for p in (0, 1, "inf")}
+    specs = {p: loop_spec(cfg, p) for p in (0, 1, "inf")}
+    if _forks(cfg):
+        loops = _track_forked(specs, cfg)
+    else:
+        loops = {p: track_loop(spec, cfg) for p, spec in specs.items()}
     pi0, pi1, pi_inf = (loops[p].pi for p in (0, 1, "inf"))
     composite = inverse(compose(pi1, pi0))
     if pi_inf != composite:
@@ -84,6 +111,74 @@ def monodromy_triple(cfg: TrackingConfig | None = None) -> MonodromyTriple:
             "direct infinity track is not the composite inverse: "
             f"{cycle_string(pi_inf)} vs {cycle_string(composite)}")
     return MonodromyTriple(pi0=pi0, pi1=pi1, pi_inf=pi_inf, loops=loops)
+
+
+def _forks(cfg: TrackingConfig) -> bool:
+    """Whether the loops around 0 and 1 go to forked children (see the
+    module docstring)."""
+    return (cfg.steps >= FORK_STEPS and hasattr(os, "fork")
+            and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
+def _fork_loop(spec, cfg: TrackingConfig):
+    """Fork a child that tracks ``spec`` and writes the marshalled
+    TrackResult fields to a pipe; returns (pid, read end of the pipe), or
+    None when no child could be started.  The child runs only the kernel
+    and marshal, which take no lock a thread of this process could hold."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        try:
+            data = marshal.dumps(tuple(track_loop(spec, cfg)))
+            while data:
+                data = data[os.write(w, data):]
+        finally:
+            os._exit(0)
+    os.close(w)
+    return pid, r
+
+
+def _read_to_eof(fd: int) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 4096):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _track_forked(specs: dict, cfg: TrackingConfig) -> dict:
+    """The serial path's loops, with those around 0 and 1 tracked in
+    forked children while this process tracks the loop around infinity."""
+    children, sent = {}, {}
+    try:
+        for p in (0, 1):
+            child = _fork_loop(specs[p], cfg)
+            if child is not None:
+                children[p] = child
+        try:
+            inf = track_loop(specs["inf"], cfg)
+        except Exception as exc:    # raised after the loops around 0 and 1
+            inf = exc
+        for p, (_, fd) in children.items():
+            sent[p] = _read_to_eof(fd)
+    finally:
+        for pid, fd in children.values():
+            os.close(fd)
+            os.waitpid(pid, 0)
+    # a child that raised, or never started, sent nothing: track its loop
+    # here, so the first error is the serial path's.  A message is far
+    # shorter than PIPE_BUF, so a pipe holds all of it or none.
+    loops = {p: TrackResult(*marshal.loads(sent[p])) if sent.get(p)
+             else track_loop(specs[p], cfg) for p in (0, 1)}
+    if isinstance(inf, Exception):
+        raise inf
+    loops["inf"] = inf
+    return loops
 
 
 def sheet_constellation(triple: MonodromyTriple) -> Dessin:

@@ -428,7 +428,7 @@ def check_monodromy_group(ctx):
        expected={"max_residual": "< 1e-9", "max_lambda4_error": "< 1e-8",
                  "product_is_identity": True,
                  "inf_direct_equals_composite": "cross-check",
-                 "certified_steps": "TrackingConfig.steps, whatever --steps",
+                 "certified_steps": "tracking.DEFAULT_STEPS, whatever --steps",
                  "tracked_equals_certified": True},
        verdict=lambda got: (got["max_residual"] < 1e-9
                             and got["max_lambda4_error"] < 1e-8

@@ -103,3 +103,22 @@ def test_cli_takes_only_the_config_from_tracking():
             assert "bringcover.tracking" not in (a.name for a in node.names)
     assert sorted(taken) == ["DEFAULT_STEPS", "TrackingConfig",
                              "TrackingError"]
+
+
+def test_only_monodromy_forks():
+    # monodromy_triple reaps its children before it returns or raises; a
+    # fork anywhere else would need the same care
+    forking = sorted(path.name for path in SRC.glob("*.py")
+                     if "fork" in _references(ast.parse(path.read_text())))
+    assert forking == ["monodromy.py"]
+
+
+def test_no_module_imports_process_pools_or_pickle():
+    # a forked loop sends its result through a pipe with marshal: the
+    # cold imports of these cost a run milliseconds, and subprocess would
+    # start a fresh interpreter
+    banned = {"multiprocessing", "concurrent", "pickle", "subprocess"}
+    found = sorted((path.name, name) for path in SRC.glob("*.py")
+                   for name in _imported_modules(ast.parse(path.read_text()))
+                   if name.split(".")[0] in banned)
+    assert found == []
