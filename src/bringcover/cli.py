@@ -9,9 +9,11 @@ Subcommands::
     bringcover verify-all  the full verification suite
     bringcover export      DOT export of a named dessin
 
-Every subcommand builds its objects once, in one :class:`verify.Context`:
+Every subcommand builds its objects once, in one :class:`context.Context`:
 the report subcommands run their checks on it and take their ``--json``
-extras from the same objects, and ``export`` builds only its target.
+extras from the same objects, and ``export`` builds only its target.  A
+layer is imported where a command first needs it, so an export of D, I4,
+the union or J loads neither the check registry nor ``dataclasses``.
 
 Exit codes: 0 all gated checks pass, 1 some check failed (or, for
 ``export``, the tracked monodromy its target needs could not be built), 2
@@ -28,12 +30,17 @@ import argparse
 import gc
 import sys
 
-from . import __version__, cells, cover, verify
+from . import __version__
+from .context import Context
 from .tracking import DEFAULT_STEPS, TrackingConfig, TrackingError
 
 _TRACKING_FLAGS = ("steps", "seed", "base_t", "radius0", "radius1",
                    "radius_inf", "tol_residual", "tol_match_ratio",
                    "tol_lambda")
+
+# the modules --only accepts, verify.MODULES written out so that building
+# the parser does not load the check registry
+ONLY_MODULES = ("cells", "cover", "dessins", "monodromy", "perms")
 
 # export target -> Context property
 EXPORT_TARGETS = {"D": "dessin_d", "I4": "i4", "union": "union",
@@ -86,6 +93,7 @@ def _print_report(report) -> None:
 
 
 def _cells_payload(ctx) -> dict:
+    from . import cells
     return {"enumerations": {
         f"n={n},k={k}": [
             {"text": c.to_text(), "dimension": c.dimension,
@@ -97,6 +105,7 @@ def _cells_payload(ctx) -> dict:
 
 
 def _cover_payload(ctx) -> dict:
+    from . import cover
     base = ctx.surface
     return {
         "base": {
@@ -135,8 +144,9 @@ REPORTS = {
 
 
 def _cmd_report(args) -> int:
+    from . import verify
     payload_hook = REPORTS[args.command][1]
-    ctx = verify.Context(_config_from(args))
+    ctx = Context(_config_from(args))
     only = args.only if payload_hook is None else args.command
     report = verify.run_checks(ctx, only=only)
     if payload_hook is None:
@@ -152,7 +162,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    ctx = verify.Context(_config_from(args))
+    ctx = Context(_config_from(args))
     try:
         dessin = getattr(ctx, EXPORT_TARGETS[args.target])
     except (TrackingError, ArithmeticError) as exc:
@@ -176,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", metavar="PATH", default=None)
         if payload_hook is None:
-            p.add_argument("--only", choices=verify.MODULES, default=None,
+            p.add_argument("--only", choices=ONLY_MODULES, default=None,
                            help="restrict to one module's checks")
         _add_tracking_flags(p)
 

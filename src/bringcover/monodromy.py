@@ -126,7 +126,10 @@ def _fork_loop(spec, cfg: TrackingConfig):
     TrackResult fields to a pipe; returns (pid, read end of the pipe), or
     None when no child could be started.  The child runs only the kernel
     and marshal, which take no lock a thread of this process could hold."""
-    r, w = os.pipe()
+    try:
+        r, w = os.pipe()
+    except OSError:     # out of descriptors, say: track the loop here
+        return None
     try:
         pid = os.fork()
     except OSError:

@@ -21,6 +21,9 @@ weight defect of the quartic-power expression), whose verdict is "info":
 they document conventions rather than gate correctness.  A check that
 raises fails, with the error as its observed value.  The global status is
 pass iff all non-info checks pass.
+
+The checks read the objects they share from a :class:`context.Context`,
+which this module re-exports as ``verify.Context``.
 """
 
 from __future__ import annotations
@@ -28,8 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from . import __version__, cells, cover, dessins, quintic
-from .monodromy import monodromy_triple, sheet_constellation
+from . import __version__, cells, cover, dessins
+from .context import Context
+from .monodromy import monodromy_triple
 from .perms import (
     cycle_type,
     identify_closure,
@@ -38,73 +42,6 @@ from .perms import (
     symmetric_group,
 )
 from .tracking import DEFAULT_STEPS, TrackingConfig
-
-
-class Context:
-    """Lazily built shared objects for the checks."""
-
-    def __init__(self, config: TrackingConfig | None = None):
-        self.config = config or TrackingConfig()
-        self._cache = {}
-
-    def _get(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
-
-    @property
-    def complex5(self):
-        return self._get("complex5", cells.build_complex5)
-
-    @property
-    def surface(self):
-        return self._get(
-            "surface", lambda: cover.surface_from_cells(self.complex5))
-
-    @property
-    def cover(self):
-        return self._get(
-            "cover", lambda: cover.orientation_cover(self.surface))
-
-    @property
-    def dessin_d(self):
-        return self._get("d", lambda: cover.cover_to_dessin(self.cover))
-
-    @property
-    def icosahedron(self):
-        return self._get("icosa", dessins.build_icosahedron)
-
-    @property
-    def i4(self):
-        return self._get("i4", dessins.build_i4)
-
-    @property
-    def union(self):
-        return self._get("union", self.i4.union_with_dual)
-
-    @property
-    def dessin_j(self):
-        return self._get("j", lambda: self.union.dual().recolor())
-
-    @property
-    def triple(self):
-        return self._get("triple", lambda: monodromy_triple(self.config))
-
-    @property
-    def certificate(self):
-        # imported here, not with this module, which every command loads
-        # through the CLI: only the runs that gate the monodromy need it
-        from .certify import certify
-        return self._get("certificate", lambda: certify(self.config))
-
-    @property
-    def sheet(self):
-        return self._get("sheet", lambda: sheet_constellation(self.triple))
-
-    @property
-    def identities(self):
-        return self._get("identities", lambda: quintic.verify_identities(
-            samples=100, seed=self.config.seed))
 
 
 @dataclass(frozen=True)

@@ -133,6 +133,40 @@ def test_monodromy_json_tracks_each_triple_once(tmp_path, monkeypatch,
     capsys.readouterr()
 
 
+def test_a_failed_triple_is_tracked_once(tmp_path, monkeypatch, capsys):
+    calls = _record_calls(monkeypatch, monodromy.monodromy_triple)
+    out = tmp_path / "monodromy.json"
+    assert main(["monodromy", "--tol-match-ratio", "10000",
+                 "--json", str(out)]) == 1
+    # four checks and the payload read one failed base triple; the
+    # doubling check tracks its own
+    assert [cfg.steps for _, cfg in calls] == [DEFAULT_STEPS,
+                                               2 * DEFAULT_STEPS]
+    error = json.loads(out.read_text())["monodromy"]["error"]
+    assert error.startswith("TrackingError: ")
+    capsys.readouterr()
+
+
+def test_probe_binding_records_every_triple(monkeypatch, capsys):
+    # perfbench's probe rebinds verify.monodromy_triple alone and gates
+    # the permutations of every triple it records
+    tracked = verify.monodromy_triple
+    steps = []
+
+    def recording(cfg=None):
+        steps.append(cfg.steps)
+        return tracked(cfg)
+
+    monkeypatch.setattr(verify, "monodromy_triple", recording)
+    assert main(["verify-all", "--only", "monodromy"]) == 0
+    assert steps == [DEFAULT_STEPS, 2 * DEFAULT_STEPS]
+    capsys.readouterr()
+
+
+def test_only_choices_are_the_registry_modules():
+    assert cli.ONLY_MODULES == verify.MODULES
+
+
 def test_monodromy_json_closes_the_group_once(tmp_path, monkeypatch, capsys):
     calls = _record_calls(monkeypatch, perms.closure)
     out = tmp_path / "monodromy.json"
@@ -351,6 +385,37 @@ def test_report_without_json_loads_neither_json_nor_typing():
         env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+_COMMON_LAYERS = ["cli", "context", "dessins", "perms", "quintic",
+                  "tracking"]
+
+
+@pytest.mark.parametrize("target, extra, dataclasses", [
+    ("I4", [], False),
+    ("union", [], False),
+    ("J", [], False),
+    ("D", ["cells", "cover"], False),
+    # the triple is tracked through verify's binding, which the
+    # benchmark's probe rebinds, so the sheet loads the check registry
+    ("sheet", ["cells", "cover", "monodromy", "verify"], True),
+])
+def test_export_loads_only_the_layers_it_builds(tmp_path, target, extra,
+                                                dataclasses):
+    # -S: no site hook may preload a module and hide the cost
+    code = ("import sys\n"
+            "from bringcover import cli\n"
+            f"assert cli.main(['export', '--target', {target!r},"
+            f" '--path', {str(tmp_path / 'out.dot')!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith('bringcover.')))\n"
+            "print('dataclasses' in sys.modules)\n")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    assert proc.returncode == 0, proc.stderr
+    layers = sorted(f"bringcover.{m}" for m in _COMMON_LAYERS + extra)
+    assert proc.stdout.splitlines()[-2:] == [str(layers), str(dataclasses)]
 
 
 def test_console_script_is_the_process_entry():

@@ -105,6 +105,37 @@ def test_cli_takes_only_the_config_from_tracking():
                              "TrackingError"]
 
 
+def _module_level_layers(fname):
+    """The package modules a source file imports at module level."""
+    layers = set()
+    for node in ast.parse((SRC / fname).read_text()).body:
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                layers.add(node.module.split(".")[0])
+            else:   # from . import a, b: the names that are modules
+                layers.update(a.name for a in node.names
+                              if (SRC / f"{a.name}.py").is_file())
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = ([a.name for a in node.names]
+                     if isinstance(node, ast.Import) else [node.module])
+            layers.update(n.split(".")[1] for n in names
+                          if n.startswith("bringcover."))
+    return layers
+
+
+def test_cli_imports_a_layer_where_a_command_needs_it():
+    # an export of I4, the union or J must not load cells, cover, the
+    # monodromy or the check registry
+    assert _module_level_layers("cli.py") == {"context", "tracking"}
+
+
+def test_context_imports_each_layer_at_its_build():
+    assert _module_level_layers("context.py") == {"tracking"}
+    # the scan sees the layers verify imports at module level
+    assert {"cells", "context", "monodromy"} <= _module_level_layers(
+        "verify.py")
+
+
 def test_only_monodromy_forks():
     # monodromy_triple reaps its children before it returns or raises; a
     # fork anywhere else would need the same care

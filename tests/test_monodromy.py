@@ -140,6 +140,25 @@ def test_a_failed_fork_tracks_the_loop_here(monkeypatch):
     assert monodromy_triple(cfg).loops == _direct(cfg)
 
 
+@pytest.mark.parametrize("failing_call", [1, 2])
+def test_a_failed_pipe_tracks_the_loop_here(failing_call, monkeypatch):
+    calls = []
+    pipe = os.pipe
+
+    def pipe_fails_once():
+        calls.append(None)
+        if len(calls) == failing_call:
+            raise OSError(24, "Too many open files")
+        return pipe()
+
+    monkeypatch.setattr(os, "pipe", pipe_fails_once)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cfg = TrackingConfig(steps=FORK_STEPS)
+    assert monodromy_triple(cfg).loops == _direct(cfg)
+    assert len(calls) == 2
+    _assert_no_child()
+
+
 # the first line, unflushed in a buffered stdout, sits in the buffer every
 # child inherits
 @pytest.mark.parametrize("entry", [

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from bringcover import tracking, verify
+from bringcover import cli, tracking, verify
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -28,7 +28,8 @@ def _literal(name):
 
 
 def _context_get_keys():
-    tree = ast.parse(Path(verify.__file__).read_text())
+    # the builds live where Context is defined, which verify re-exports
+    tree = ast.parse(Path(inspect.getsourcefile(verify.Context)).read_text())
     return {node.args[0].value for node in ast.walk(tree)
             if isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
@@ -47,6 +48,12 @@ def test_builds_are_context_keys():
     keys = _context_get_keys()
     assert "cover" in keys  # the scan found the Context builds
     assert set(_literal("BUILDS")) <= keys
+
+
+def test_patched_context_is_the_one_every_command_builds():
+    # the tracer patches verify.Context._get; the CLI builds its own
+    # Context without loading verify, so both must name one class
+    assert cli.Context is verify.Context
 
 
 def test_checks_are_the_registry():

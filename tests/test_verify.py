@@ -74,3 +74,21 @@ def test_only_subset_matches_full_run(full_report, module):
     assert rows
     subset = verify.run_checks(verify.Context(), only=module)
     assert subset["checks"] == rows
+
+
+def test_a_failed_build_is_built_once():
+    # every later reader sees the first build's exception, unbuilt again
+    ctx = verify.Context()
+    calls = []
+
+    def failing():
+        calls.append(None)
+        raise ArithmeticError("no triple")
+
+    raised = []
+    for _ in range(3):
+        with pytest.raises(ArithmeticError, match="no triple") as info:
+            ctx._get("triple", failing)
+        raised.append(info.value)
+    assert len(calls) == 1
+    assert raised[0] is raised[1] is raised[2]
