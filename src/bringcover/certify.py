@@ -3,10 +3,9 @@
 The ratio test of :mod:`tracking` decides steps by a heuristic.  This
 module proves, for one contour, that analytic continuation of the five
 roots of P_t(x) = x^5 + x + b(t) along it induces a given permutation.  It
-walks the contour with the same loop and kernel
-(:func:`tracking.track_loop`'s body, :func:`tracking.track_path` and its
-``_try_step``) and accepts a segment only when the tests below pass; a
-segment that fails is bisected.
+starts at :func:`tracking.loop_start` and walks the kernel
+:func:`tracking.track_path` itself, with no step budget, accepting a
+segment only when the tests below pass; a segment that fails is bisected.
 
 *Inclusion at each waypoint.*  The kernel gives roots y_i of
 x^5 + x + beta, where beta is the computed branch value, and
@@ -25,7 +24,8 @@ with c_0 = P_t(y_i), c_1 = 5 y^4 + 1, c_2 = 10 y^3, c_3 = 10 y^2,
 c_4 = 5 y.  R_i about maximises L_i (a few Newton steps on dL/dR),
 capped at 0.9 g_i.
 
-*Rouché across each segment.*  b(t)^4 = C (1 - t) / t gives
+*Rouché across each segment.*  b(t)^4 = C (1 - t) / t (quintic.BRANCH_SCALE)
+gives
 |b'(t)| = |b| / (4 |t| |1 - t|) = (C^(1/4) / 4) |t|^(-5/4) |1 - t|^(-3/4),
 so over a segment of length |h| the continued branch moves at most
 |h| sup |b'|, bounded through the distances from 0 and 1 to the segment.
@@ -37,8 +37,9 @@ must lie in it, which names the same root there.  Each root may use
 either end.  B plus the next delta must also stay below |beta| / sqrt(2),
 so that the kernel's nearest fourth root is the continued branch.
 
-*Closing the loop.*  At the base point the continued branch is i^k b(t_0)
-for the k the kernel found, and x -> i^-k x maps the final roots onto the
+*Closing the loop.*  At the base point the continued branch is within
+0.7 |beta| of i^k beta, beta = b(t_0), only for the nearest k (the powers
+lie sqrt(2) |beta| apart), and x -> i^-k x maps the final roots onto the
 initial ones.  Root j's rescaled final inclusion disc must lie in the
 initial Rouché disc of root pi(j): that is the certified permutation.
 
@@ -58,22 +59,23 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
+from .quintic import BRANCH_SCALE
 from .tracking import (
-    _C,
-    _I_POWERS,
     DEFAULT_STEPS,
     TrackingConfig,
     TrackingError,
-    _track_loop,
     loop_spec,
+    loop_start,
+    track_path,
 )
 
 _U = 2.0 ** -53
 _UP = 1 + 64 * _U
 _DN = 1 - 64 * _U
 _DELTA = 64 * _U                       # |b(t) - beta| <= _DELTA |beta|
-_DRIFT = _C ** 0.25 / 4 * _UP          # |b'| = _DRIFT |t|^-5/4 |1-t|^-3/4
+_DRIFT = BRANCH_SCALE ** 0.25 / 4 * _UP  # |b'| = _DRIFT |t|^-5/4 |1-t|^-3/4
 _BRANCH = 0.7                          # below 1 / sqrt(2)
+_I_POWERS = (1 + 0j, 1j, -1 - 0j, -1j)
 
 
 class Discs(namedtuple("Discs", "beta ys delta rho radius lower")):
@@ -202,15 +204,12 @@ class _Walk:
     accepts: it holds the discs of the base point and of the last
     waypoint, and the smallest relative Rouché margin so far."""
 
-    def start(self, beta, ys):
-        """Begin the walk at the base roots; :func:`tracking._track_loop`
-        calls this and hands the returned check to the kernel."""
+    def __init__(self, beta, ys):
         self.base = self.cur = discs(beta, ys)
         if self.base is None:
             raise TrackingError("certificate: inclusion discs of the base "
                                 "roots overlap")
         self.margin = math.inf
-        return self
 
     def __call__(self, t_cur, t_new, result) -> bool:
         new = discs(result[0], result[1])
@@ -222,12 +221,13 @@ class _Walk:
         self.cur = new
         return True
 
-    def permutation(self, power: int) -> tuple:
-        """pi with root j's continuation landing on base root pi[j], for a
-        branch that ended at i^power times its start."""
+    def permutation(self) -> tuple:
+        """pi with root j's continuation landing on base root pi[j]; the
+        branch must have ended at the nearest power of i times its start."""
         base, end = self.base, self.cur
-        turned = _I_POWERS[power] * base.beta - end.beta
-        if not (abs(turned) + end.delta + base.delta) * _UP \
+        gap, power = min((abs(p * base.beta - end.beta), k)
+                         for k, p in enumerate(_I_POWERS))
+        if not (gap + end.delta + base.delta) * _UP \
                 < _BRANCH * abs(base.beta) * _DN:
             raise TrackingError("certificate: branch did not close on a "
                                 "fourth root of unity times its start")
@@ -251,14 +251,18 @@ LoopCertificate = namedtuple("LoopCertificate", (
 
 
 def certify_loop(spec, cfg: TrackingConfig) -> LoopCertificate:
-    """Certify the loop ``spec``: walk it as :func:`tracking.track_loop`
-    does, bisect a segment the certificate rejects up to ``cfg.max_depth``
-    times, and return the proved permutation."""
-    walk = _Walk()
-    res = _track_loop(spec, cfg, walk.start)
-    return LoopCertificate(pi=walk.permutation(res.lam_power),
-                           margin=walk.margin, waypoints=res.waypoints,
-                           bisections=res.steps_used - res.waypoints)
+    """Certify the loop ``spec``: walk its contour with the kernel, bisect
+    a segment the certificate rejects up to ``cfg.max_depth`` times, with
+    no step budget, and return the proved permutation."""
+    b0, xs0, ts = loop_start(spec, cfg)
+    walk = _Walk(b0, xs0)
+    *_, steps_used, _ = track_path(ts, b0, xs0, cfg.tol_residual,
+                                   cfg.tol_match_ratio, cfg.max_depth,
+                                   math.inf, walk)
+    waypoints = len(ts) - 1
+    return LoopCertificate(pi=walk.permutation(), margin=walk.margin,
+                           waypoints=waypoints,
+                           bisections=steps_used - waypoints)
 
 
 def certify(cfg: TrackingConfig | None = None) -> dict:

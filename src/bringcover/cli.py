@@ -34,9 +34,18 @@ from . import __version__
 from .context import Context
 from .tracking import DEFAULT_STEPS, TrackingConfig, TrackingError
 
-_TRACKING_FLAGS = ("steps", "seed", "base_t", "radius0", "radius1",
-                   "radius_inf", "tol_residual", "tol_match_ratio",
-                   "tol_lambda")
+# TrackingConfig field -> (type, help) of its flag, --base-t for base_t
+_TRACKING_FLAGS = {
+    "steps": (int, f"waypoints per loop circle (default {DEFAULT_STEPS})"),
+    "seed": (int, "seed for the sampled identity checks"),
+    "base_t": (float, "real base point between 0 and 1 (default 0.5)"),
+    "radius0": (float, None),
+    "radius1": (float, None),
+    "radius_inf": (float, None),
+    "tol_residual": (float, None),
+    "tol_match_ratio": (float, None),
+    "tol_lambda": (float, None),
+}
 
 # the modules --only accepts, verify.MODULES written out so that building
 # the parser does not load the check registry
@@ -48,19 +57,9 @@ EXPORT_TARGETS = {"D": "dessin_d", "I4": "i4", "union": "union",
 
 
 def _add_tracking_flags(p):
-    p.add_argument("--steps", type=int, default=None,
-                   help="waypoints per loop circle "
-                        f"(default {DEFAULT_STEPS})")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed for the sampled identity checks")
-    p.add_argument("--base-t", type=float, default=None,
-                   help="real base point between 0 and 1 (default 0.5)")
-    p.add_argument("--radius0", type=float, default=None)
-    p.add_argument("--radius1", type=float, default=None)
-    p.add_argument("--radius-inf", type=float, default=None)
-    p.add_argument("--tol-residual", type=float, default=None)
-    p.add_argument("--tol-match-ratio", type=float, default=None)
-    p.add_argument("--tol-lambda", type=float, default=None)
+    for name, (kind, help_text) in _TRACKING_FLAGS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=kind,
+                       default=None, help=help_text)
 
 
 def _config_from(args) -> TrackingConfig:

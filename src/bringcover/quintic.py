@@ -22,6 +22,8 @@ import math
 from collections import namedtuple
 
 INF = complex("inf")
+# b^4 = BRANCH_SCALE (1 - t) / t on the fibre a = 1 over the Belyi value t
+BRANCH_SCALE = 256.0 / 3125.0
 
 # the Aberth seeds' unit directions, turned off the real axis
 _SEEDS = tuple(cmath.rect(1.0, 0.4 + 0.4 * math.pi * k) for k in range(5))
@@ -83,7 +85,7 @@ def b_from_t(t: complex, branch: int = 0) -> complex:
         raise ValueError("t = 0 corresponds to b at infinity")
     if branch not in (0, 1, 2, 3):
         raise ValueError("branch must be in 0..3")
-    w = (256.0 / 3125.0) * (1 - t) / t
+    w = BRANCH_SCALE * (1 - t) / t
     return (w ** 0.25) * (1j ** branch) if w != 0 else 0j
 
 

@@ -11,13 +11,13 @@ initial roots, which is the loop's permutation.
 
 The continuation loop (:func:`track_path`) is the package's one tracking
 kernel, in plain Python: it continues the fourth-root branch b(t) of
-(256/3125)(1-t)/t and the five roots of x^5 + x + b(t) along the
+BRANCH_SCALE (1 - t) / t and the five roots of x^5 + x + b(t) along the
 waypoints.  A step is accepted when Newton converges and every new root
 is ``tol_match_ratio`` times nearer its own old root than any other old
 root (a nearest/next-nearest ratio test, not a certificate); otherwise it
-is halved.  :mod:`certify` walks the same contours through the body of
-:func:`track_loop`, with a check that fails every step its Rouché tests
-do not prove.
+is halved.  :func:`track_loop` is the one loop-level entry; :mod:`certify`
+starts at :func:`loop_start` and walks the kernel itself, with a check
+that fails every step its Rouché tests do not prove.
 
 Each step is a predictor-corrector step.  The roots are holomorphic in b,
 so the secant through the last two committed points, c_i + rho (c_i -
@@ -41,11 +41,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .quintic import b_from_t, roots5
+from .quintic import BRANCH_SCALE, b_from_t, roots5
 
-_C = 256.0 / 3125.0
-_I_POWERS = (1 + 0j, 1j, -1 - 0j, -1j)
-_I_TURNS = _I_POWERS[1:]
+_I_TURNS = (1j, -1 - 0j, -1j)         # the fourth roots of unity but 1
 _NEWTON_CAP = 60
 _NEWTON_ITERS = range(_NEWTON_CAP)    # reused: no range() per root
 # the halvings a loop may always spend at the default resolution or finer:
@@ -101,12 +99,16 @@ class TrackingConfig(namedtuple("TrackingConfig", (
                              f"got {base_t!r}")
         # otherwise a bad branch fails only when a loop starts and a nan
         # budget_factor in the middle of tracking, while a negative
-        # max_depth, meaningless, would act as 0 (no halving)
-        if not (isinstance(branch, int) and 0 <= branch <= 3):
+        # max_depth, meaningless, would act as 0 (no halving), and a None
+        # seed fails only in the sampled identities; type(...) is int
+        # also turns away a bool
+        if not (type(branch) is int and 0 <= branch <= 3):
             raise ValueError(f"branch must be an int in 0..3, got {branch!r}")
-        if not (isinstance(max_depth, int) and max_depth >= 0):
+        if not (type(max_depth) is int and max_depth >= 0):
             raise ValueError("max_depth must be an int >= 0, "
                              f"got {max_depth!r}")
+        if type(seed) is not int:
+            raise ValueError(f"seed must be an int, got {seed!r}")
         if not (math.isfinite(budget_factor) and budget_factor >= 1):
             raise ValueError("budget_factor must be a finite number >= 1, "
                              f"got {budget_factor!r}")
@@ -284,7 +286,7 @@ def _try_step(t_target, b_cur, xs_cur, b_prev, xs_prev, tol, ratio):
     accepted exactly when the 20-distance test, run only when the bound
     fails, would accept it.
     """
-    w = _C * (1 - t_target) / t_target
+    w = BRANCH_SCALE * (1 - t_target) / t_target
     principal = w ** 0.25
     b_new = principal
     best = abs(principal - b_cur)
@@ -333,21 +335,9 @@ def _try_step(t_target, b_cur, xs_cur, b_prev, xs_prev, tol, ratio):
                      abs(y2 - y3), abs(y2 - y4), abs(y3 - y4))
     if (ratio + 1) * max(d0, d1, d2, d3, d4) <= 0.5 * separation:
         return b_new, xs_new, residual, separation
-    if d0 * ratio > min(abs(y1 - c0), abs(y2 - c0),
-                        abs(y3 - c0), abs(y4 - c0)):
-        return None
-    if d1 * ratio > min(abs(y0 - c1), abs(y2 - c1),
-                        abs(y3 - c1), abs(y4 - c1)):
-        return None
-    if d2 * ratio > min(abs(y0 - c2), abs(y1 - c2),
-                        abs(y3 - c2), abs(y4 - c2)):
-        return None
-    if d3 * ratio > min(abs(y0 - c3), abs(y1 - c3),
-                        abs(y2 - c3), abs(y4 - c3)):
-        return None
-    if d4 * ratio > min(abs(y0 - c4), abs(y1 - c4),
-                        abs(y2 - c4), abs(y3 - c4)):
-        return None
+    for i, (c, d) in enumerate(zip(xs_cur, (d0, d1, d2, d3, d4))):
+        if d * ratio > min(abs(y - c) for y in xs_new[:i] + xs_new[i + 1:]):
+            return None
     return b_new, xs_new, residual, separation
 
 
@@ -367,7 +357,8 @@ def track_path(ts, b0, xs0, tol_residual, match_ratio, max_depth, budget,
     committed points (see :func:`_try_step`); a failed step leaves that
     history alone, and a loop's first step has none.  A
     ``check(t_cur, t_target, result)`` that returns False fails a step the
-    kernel accepted, so the certificate bisects through the same loop.
+    kernel accepted, so the certificate, with a ``budget`` of math.inf,
+    bisects through the same loop.
     """
     b_cur = b_prev = complex(b0)
     xs_cur = xs_prev = [complex(x) for x in xs0]
@@ -412,33 +403,25 @@ def track_path(ts, b0, xs0, tol_residual, match_ratio, max_depth, budget,
             max_halving_depth)
 
 
+def loop_start(spec: LoopSpec, cfg: TrackingConfig) -> tuple:
+    """(b0, xs0, ts): a loop's base branch, base roots and waypoints; a
+    rebinding of ``tracking.contour`` sees every loop, certified or not."""
+    b0 = b_from_t(complex(spec.base_t), cfg.branch)
+    xs0 = roots5(1.0, b0, tol=cfg.tol_residual)
+    return b0, xs0, contour(spec)
+
+
 def track_loop(spec: LoopSpec, cfg: TrackingConfig) -> TrackResult:
     """Track one loop and return its root permutation with diagnostics.
 
     It takes exactly (spec, cfg), from which perfbench's tracer names its
-    spans; :mod:`certify` calls :func:`_track_loop` with its check.
+    spans.  It fails unless the branch closes within ``tol_lambda`` and
+    the final roots match the initial ones by the ratio test.
     """
-    return _track_loop(spec, cfg)
-
-
-def _track_loop(spec: LoopSpec, cfg: TrackingConfig,
-                start=None) -> TrackResult:
-    """:func:`track_loop`, with an optional check on every step.
-
-    ``start(b0, xs0)``, when given, receives the base branch and roots and
-    returns the ``check`` for :func:`track_path`.  A checked loop has no
-    step budget: the check, not ``--steps``, sets how far it bisects.
-    """
-    b0 = b_from_t(complex(spec.base_t), cfg.branch)
-    xs0 = roots5(1.0, b0, tol=cfg.tol_residual)
-    ts = contour(spec)
-    if start is None:
-        check, budget = None, cfg.budget(len(ts) - 1)
-    else:
-        check, budget = start(b0, xs0), math.inf
+    b0, xs0, ts = loop_start(spec, cfg)
     b_end, xs_end, max_residual, min_sep, steps_used, depth = track_path(
         ts, b0, xs0, cfg.tol_residual, cfg.tol_match_ratio,
-        cfg.max_depth, budget, check)
+        cfg.max_depth, cfg.budget(len(ts) - 1))
 
     lam = b_end / b0
     k_best = min(range(4), key=lambda k: abs(lam - 1j**k))

@@ -5,6 +5,7 @@ import cmath
 import math
 import random
 
+import mpmath
 import pytest
 
 from bringcover import certify, tracking, verify
@@ -25,7 +26,6 @@ from bringcover.tracking import (
     track_loop,
 )
 
-mpmath = pytest.importorskip("mpmath")
 iv = mpmath.iv
 mp = mpmath.mp
 
@@ -46,17 +46,15 @@ def _ivc(z):
 
 def _waypoints(cfg, puncture):
     """(t, beta, roots) at every waypoint the kernel commits on a loop."""
-    seen = []
+    b0, xs0, ts = tracking.loop_start(loop_spec(cfg, puncture), cfg)
+    seen = [(complex(cfg.base_t), b0, xs0)]
 
     def record(t_cur, t_new, result):
         seen.append((t_new, result[0], tuple(result[1])))
         return True
 
-    def start(b0, xs0):
-        seen.append((complex(cfg.base_t), b0, xs0))
-        return record
-
-    tracking._track_loop(loop_spec(cfg, puncture), cfg, start)
+    tracking.track_path(ts, b0, xs0, cfg.tol_residual, cfg.tol_match_ratio,
+                        cfg.max_depth, math.inf, record)
     return seen
 
 

@@ -53,6 +53,21 @@ def test_private_helpers_have_callers():
     assert uncalled == []
 
 
+def test_no_module_imports_a_private_name_of_another():
+    # a name one layer takes from another is that layer's public API, so
+    # its home can change it without reading every importer
+    imported, private = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or node.module.startswith("bringcover")):
+                imported += 1
+                private += (f"{path.name}: {alias.name}"
+                            for alias in node.names if _is_private(alias.name))
+    assert imported, "no package imports found: the scan is broken"
+    assert private == []
+
+
 def test_lazy_table_is_the_public_api():
     # the package resolves exactly its public names, each from a layer
     assert sorted(bringcover._HOMES) == sorted(bringcover.__all__)

@@ -9,11 +9,13 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from bringcover import cli, tracking, verify
+from bringcover import certify, cli, tracking, verify
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -68,3 +70,26 @@ def test_patched_signatures():
     assert callable(tracking.contour)
     assert callable(verify.monodromy_triple)
     assert dataclasses.is_dataclass(verify.CheckDef)
+
+
+def test_certificate_counts_contours_but_tracks_no_loop(monkeypatch):
+    # the tracer rebinds contour and track_loop at every bringcover
+    # binding: the certificate's three loops add to tracking.waypoints,
+    # and to no p0/p1/pinf span of track_loop
+    calls = Counter()
+
+    def rebind(original):
+        def counting(*args):
+            calls[original.__name__] += 1
+            return original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name == "bringcover" or name.startswith("bringcover."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+
+    rebind(tracking.contour)
+    rebind(tracking.track_loop)
+    certify.certify()
+    assert (calls["contour"], calls["track_loop"]) == (3, 0)

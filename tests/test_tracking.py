@@ -14,10 +14,9 @@ from bringcover.perms import (
     identity,
     inverse,
 )
-from bringcover.quintic import b_from_t, roots5
+from bringcover.quintic import BRANCH_SCALE, b_from_t, roots5
 from bringcover.tracking import (
-    _C,
-    _I_POWERS,
+    _I_TURNS,
     _NEWTON_CAP,
     DEFAULT_STEPS,
     LoopSpec,
@@ -78,11 +77,11 @@ def reference_newton(starts, b, tol):
 
 
 def reference_try_step(t_target, b_cur, xs_cur, b_prev, xs_prev, tol, ratio):
-    w = _C * (1 - t_target) / t_target
+    w = BRANCH_SCALE * (1 - t_target) / t_target
     principal = w ** 0.25
     b_new = principal
     best = abs(principal - b_cur)
-    for p in _I_POWERS[1:]:
+    for p in _I_TURNS:
         cand = principal * p
         d = abs(cand - b_cur)
         if d < best:
@@ -541,6 +540,10 @@ def test_config_rejects_bad_match_ratio(ratio):
       for tol in (math.nan, math.inf, 0.0, -1e-8)),
     (7, "branch"), (-1, "branch"), (1.0, "branch"),
     (-1, "max_depth"), (2.5, "max_depth"),
+    # a bool is an int to isinstance; a None seed would fail only when the
+    # sampled identities add to it
+    (True, "branch"), (True, "max_depth"), (False, "max_depth"),
+    (None, "seed"), (1.0, "seed"), (True, "seed"), ("0", "seed"),
     (math.nan, "budget_factor"), (math.inf, "budget_factor"),
     (0.5, "budget_factor"),
 ])
@@ -613,6 +616,23 @@ def test_try_step_rejects_between_bound_and_ratio():
     args = (0.5, b, xs, b, xs, 1e-10, 3.0)
     assert _try_step(*args) is None
     assert reference_try_step(*args) is None
+
+
+@pytest.mark.parametrize("i", range(5))
+def test_try_step_rejects_when_only_one_root_fails(i):
+    # old root i lies 0.15 of the way to the root nearest it and every
+    # other old root on its root: at ratio 8 the separation bound does not
+    # decide (9 * 0.15 s > s / 2), every other root passes its
+    # cross-distance test and only root i fails it (8 * 0.15 > 0.85)
+    b = b_from_t(0.5, 0)
+    ys = list(roots5(1.0, b))
+    j = min((k for k in range(5) if k != i), key=lambda k: abs(ys[k] - ys[i]))
+    xs = list(ys)
+    xs[i] = ys[i] + 0.15 * (ys[j] - ys[i])
+    # at ratio 1 the step is taken: Newton returns root i home
+    taken = _try_step(0.5, b, xs, b, xs, 1e-10, 1.0)
+    assert max(abs(y - z) for y, z in zip(taken[1], ys)) < 1e-9
+    assert _try_step(0.5, b, xs, b, xs, 1e-10, 8.0) is None
 
 
 def _abs_calls_per_step(monkeypatch, steps):
