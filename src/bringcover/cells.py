@@ -24,6 +24,14 @@ diagonals, by 2^k - 1 twists.  Each diagonal keeps its place in the
 chord list through twists and normalisation, so "the diagonals with
 index above max(S)" means the same chords in every image.
 
+The walk twists normal forms only, and on a normal form "twist along a
+chord, then normalise" moves labels and chords by maps that depend on
+(n, chord) and on one comparison: which of the two labels the twist puts
+beside label 1 is smaller.  ``_moves(n)`` tabulates both maps for every
+chord, once per n, by running the twist and the normal form on labels
+that name their positions, so the geometry is defined once, in
+``_twist_key`` and ``_normal_form``.
+
 One index per (n, k) maps each normal form found so far to its class:
 ``canonical_class`` normalises and looks up, walking the class on a
 miss, and ``enumerate_cells`` fills the index with every class.
@@ -157,6 +165,46 @@ class CellClass(namedtuple("CellClass", "rep orbit_size")):
 
 
 @lru_cache(maxsize=None)
+def _moves(n: int) -> dict:
+    """chord -> (u, v, less, more): the move "twist along the chord, then
+    take the dihedral normal form" on a normal form of an n-gon.
+
+    The twist puts the labels of sides u and v next to label 1, after and
+    before it; ``less`` is the move when labels[u] < labels[v], ``more``
+    the other one.  Each is (positions, chord_map): the image's side i
+    carries labels[positions[i]], and a chord c that does not cross the
+    twisted one goes to chord_map[c]."""
+    chords = [c for (c,) in _admissible_chord_sets(n, 1)]
+    moves = {}
+    for chord in chords:
+        keep = [c for c in chords if not _chords_cross(c, chord)]
+        # label p + 1 names position p
+        twisted = _twist_key(tuple(range(1, n + 1)), (), chord)[0]
+        j = twisted.index(1)
+        u, v = twisted[(j + 1) % n] - 1, twisted[j - 1] - 1
+        entries = []
+        for x, y in ((u, v), (v, u)):
+            labels = list(range(1, n + 1))
+            labels[x], labels[y] = sorted((x + 1, y + 1))
+            image, moved = _normal_form(*_twist_key(tuple(labels), keep,
+                                                    chord))
+            entries.append((tuple([labels.index(label) for label in image]),
+                            dict(zip(keep, moved))))
+        moves[chord] = (u, v, *entries)
+    return moves
+
+
+def _apply_move(move, labels: tuple, chords: tuple) -> tuple:
+    """The normal form of a twist of the normal form (labels, chords), by
+    the entry of ``_moves`` for the twisted chord; the chords keep their
+    order."""
+    u, v, less, more = move
+    positions, chord_map = less if labels[u] < labels[v] else more
+    return (tuple(map(labels.__getitem__, positions)),
+            tuple([chord_map[c] for c in chords]))
+
+
+@lru_cache(maxsize=None)
 def _index(n: int, k: int) -> dict:
     """Normal form -> CellClass, for the classes of n-gons with k
     diagonals found so far."""
@@ -172,19 +220,21 @@ def _class_of(n: int, form) -> CellClass:
     are the images of the 2^k subsets of ``form``'s chords.  The walk
     carries each image's chords in the order of ``form``'s, and from the
     image of a subset S twists only along the chords after max(S): each
-    subset is reached once, by 2^k - 1 twists in all.  A subset whose image
-    was already reached raises RuntimeError, since the argument above then
-    fails.  Each normal form is validated once, as a LabeledPolygon."""
+    subset is reached once, by 2^k - 1 twists in all, each one a move of
+    ``_moves(n)``.  A subset whose image was already reached raises
+    RuntimeError, since the argument above then fails.  Each normal form
+    is validated once, as a LabeledPolygon."""
     index = _index(n, len(form[1]))
     if form in index:
         return index[form]
     rep = LabeledPolygon(n, *form)
+    moves = _moves(n)
     forms = {form}
     stack = [(form, 0)]  # (labels, chords in form's order), next chord
     while stack:
         (labels, chords), start = stack.pop()
         for i in range(start, len(chords)):
-            image = _normal_form(*_twist_key(labels, chords, chords[i]))
+            image = _apply_move(moves[chords[i]], labels, chords)
             key = (image[0], tuple(sorted(image[1])))
             if key in forms:
                 raise RuntimeError(f"two twist subsets of {form} give {key}")
@@ -252,12 +302,15 @@ def refinements(c: CellClass) -> list:
     """Classes obtained by adding one admissible diagonal, deduplicated."""
     if c.dimension < 1:
         raise ValueError("cannot refine a 0-dimensional cell")
-    p = c.rep
+    # the canonical rep is a normal form (c.rep itself, for a class this
+    # module built), and a chord added to a normal form leaves one, which
+    # the index holds or the walk validates
+    n, labels, diags = canonical_class(c.rep).rep
     found = set()
-    for (new,) in _admissible_chord_sets(p.n, 1):
-        if new in p.diags or any(_chords_cross(new, d) for d in p.diags):
+    for (new,) in _admissible_chord_sets(n, 1):
+        if new in diags or any(_chords_cross(new, d) for d in diags):
             continue
-        found.add(canonical_class(polygon(p.n, p.labels, p.diags + (new,))))
+        found.add(_class_of(n, (labels, tuple(sorted(diags + (new,))))))
     return sorted(found)
 
 

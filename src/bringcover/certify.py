@@ -6,6 +6,8 @@ roots of P_t(x) = x^5 + x + b(t) along it induces a given permutation.  It
 starts at :func:`tracking.loop_start` and walks the kernel
 :func:`tracking.track_path` itself, with no step budget, accepting a
 segment only when the tests below pass; a segment that fails is bisected.
+The kernel's ratio test runs at the floor ratio 1 (:data:`WALK_RATIO`),
+whatever ``tol_match_ratio`` says, so the tests below alone decide.
 
 *Inclusion at each waypoint.*  The kernel gives roots y_i of
 x^5 + x + beta, where beta is the computed branch value, and
@@ -76,6 +78,11 @@ _DELTA = 64 * _U                       # |b(t) - beta| <= _DELTA |beta|
 _DRIFT = BRANCH_SCALE ** 0.25 / 4 * _UP  # |b'| = _DRIFT |t|^-5/4 |1-t|^-3/4
 _BRANCH = 0.7                          # below 1 / sqrt(2)
 _I_POWERS = (1 + 0j, 1j, -1 - 0j, -1j)
+
+# the ratio the kernel tests on a certified walk: the floor that
+# TrackingConfig allows, so a strict tol_match_ratio cannot make the walk
+# bisect without bound
+WALK_RATIO = 1.0
 
 
 class Discs(namedtuple("Discs", "beta ys delta rho radius lower")):
@@ -251,14 +258,14 @@ LoopCertificate = namedtuple("LoopCertificate", (
 
 
 def certify_loop(spec, cfg: TrackingConfig) -> LoopCertificate:
-    """Certify the loop ``spec``: walk its contour with the kernel, bisect
-    a segment the certificate rejects up to ``cfg.max_depth`` times, with
-    no step budget, and return the proved permutation."""
+    """Certify the loop ``spec``: walk its contour with the kernel at
+    :data:`WALK_RATIO`, bisect a segment the certificate rejects up to
+    ``cfg.max_depth`` times, with no step budget, and return the proved
+    permutation."""
     b0, xs0, ts = loop_start(spec, cfg)
     walk = _Walk(b0, xs0)
     *_, steps_used, _ = track_path(ts, b0, xs0, cfg.tol_residual,
-                                   cfg.tol_match_ratio, cfg.max_depth,
-                                   math.inf, walk)
+                                   WALK_RATIO, cfg.max_depth, math.inf, walk)
     waypoints = len(ts) - 1
     return LoopCertificate(pi=walk.permutation(), margin=walk.margin,
                            waypoints=waypoints,

@@ -7,10 +7,13 @@ the icosahedron, I4, the union with its dual, the recoloured dual J, the
 tracked monodromy triple and its 120-sheet dessin, the certificate and
 the sampled identities.  Each build imports its layer when it first
 runs, so a process that builds I4 alone loads none of cells, cover,
-monodromy or the check registry.
+monodromy or the check registry, and one that builds the sheet loads
+monodromy alone.
 """
 
 from __future__ import annotations
+
+import sys
 
 from .tracking import TrackingConfig
 
@@ -78,12 +81,16 @@ class Context:
 
     @property
     def triple(self):
-        # tracked through the registry's binding, looked up at the build:
-        # the benchmark's probe rebinds verify.monodromy_triple alone to
-        # record every triple, so the sheet export loads verify too
-        from . import verify
+        # tracked through the registry's binding once the registry is
+        # loaded, looked up at the build: the benchmark's probe imports
+        # verify and rebinds verify.monodromy_triple alone to record every
+        # triple.  A process that never loads verify (the sheet export)
+        # tracks through monodromy's own.
+        layer = sys.modules.get(f"{__package__}.verify")
+        if layer is None:
+            from . import monodromy as layer
         return self._get(
-            "triple", lambda: verify.monodromy_triple(self.config))
+            "triple", lambda: layer.monodromy_triple(self.config))
 
     @property
     def certificate(self):

@@ -400,13 +400,13 @@ def test_walk_twists_each_subset_once(fresh_index, monkeypatch):
     # classes at n = 6 give 0 / 270 / 945 / 735 (a walk that twists every
     # form along every chord makes 0 / 540 / 2520 / 2520)
     calls = []
-    twist_key = cellmod._twist_key
+    apply_move = cellmod._apply_move
 
     def counted(*args):
         calls.append(args)
-        return twist_key(*args)
+        return apply_move(*args)
 
-    monkeypatch.setattr(cellmod, "_twist_key", counted)
+    monkeypatch.setattr(cellmod, "_apply_move", counted)
     counts = []
     for k in range(4):
         calls.clear()
@@ -432,12 +432,89 @@ def test_orbits_are_free_and_split_the_keys(n):
 
 def test_walk_rejects_a_subset_that_repeats_a_form(fresh_index, monkeypatch):
     # a twist that changes nothing gives every subset the same form
-    monkeypatch.setattr(cellmod, "_twist_key",
-                        lambda labels, diags, chord: (labels, list(diags)))
+    monkeypatch.setattr(cellmod, "_apply_move",
+                        lambda move, labels, chords: (labels, chords))
     form = ((1, 2, 3, 4, 5, 6), ((0, 2), (0, 4)))
     with pytest.raises(RuntimeError, match="twist subsets"):
         cellmod._class_of(6, form)
     assert cellmod._index(6, 2) == {}
+
+
+def test_walk_validates_each_normal_form_once(fresh_index, monkeypatch):
+    # one LabeledPolygon per normal form: 2^k per class of k diagonals
+    built = []
+
+    class Counted(LabeledPolygon):
+        __slots__ = ()
+
+        def __new__(cls, *args):
+            built.append(args)
+            return LabeledPolygon(*args)
+
+    monkeypatch.setattr(cellmod, "LabeledPolygon", Counted)
+    counts = []
+    for k in range(4):
+        built.clear()
+        enumerate_cells(6, k)
+        counts.append(len(built))
+        index = cellmod._index(6, k)
+        assert sorted(built) == sorted((6, *key) for key in index)
+    assert counts == [60, 540, 1260, 840]
+
+
+# ---------------------------------------------------------- move table
+
+def _normal_forms(n):
+    """Every normal-form key of an n-gon: label 1 on side 0, labels[1] <
+    labels[-1], and every non-crossing chord set, sorted."""
+    for rest in permutations(range(2, n + 1)):
+        if rest[0] < rest[-1]:
+            for k in range(n - 2):
+                for chords in cellmod._admissible_chord_sets(n, k):
+                    yield (1,) + rest, chords
+
+
+def _check_moves(n, labels, chords):
+    moves = cellmod._moves(n)
+    for chord in chords:
+        assert cellmod._apply_move(moves[chord], labels, chords) == \
+            cellmod._normal_form(*cellmod._twist_key(labels, chords, chord))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_moves_are_twist_then_normal_form(n):
+    for labels, chords in _normal_forms(n):
+        _check_moves(n, labels, chords)
+        # the walk carries chords in its starting form's order
+        _check_moves(n, labels, chords[::-1])
+
+
+@st.composite
+def normal_forms(draw):
+    n = draw(st.integers(7, 8))
+    rest = draw(st.permutations(range(2, n + 1)))
+    if rest[0] > rest[-1]:
+        rest = rest[::-1]
+    k = draw(st.integers(0, n - 3))
+    chords = draw(st.sampled_from(cellmod._admissible_chord_sets(n, k)))
+    return n, (1,) + tuple(rest), draw(st.permutations(chords))
+
+
+@settings(max_examples=200, deadline=None)
+@given(normal_forms())
+def test_moves_are_twist_then_normal_form_at_7_and_8(form):
+    n, labels, chords = form
+    _check_moves(n, labels, tuple(chords))
+
+
+def test_refinements_normalise_a_hand_made_rep(fresh_index):
+    # a rep reflected and rotated off its normal form refines to the
+    # classes of its canonical class
+    p = polygon(6, (4, 3, 2, 1, 6, 5), [(1, 4)])
+    cls = canonical_class(p)
+    assert cls.rep != p
+    assert refinements(CellClass(rep=p, orbit_size=cls.orbit_size)) == \
+        refinements(cls)
 
 
 def reference_validate(n, labels, diags):

@@ -53,7 +53,7 @@ def _waypoints(cfg, puncture):
         seen.append((t_new, result[0], tuple(result[1])))
         return True
 
-    tracking.track_path(ts, b0, xs0, cfg.tol_residual, cfg.tol_match_ratio,
+    tracking.track_path(ts, b0, xs0, cfg.tol_residual, certify.WALK_RATIO,
                         cfg.max_depth, math.inf, record)
     return seen
 
@@ -280,6 +280,16 @@ def test_certificate_keeps_the_geometry_but_not_the_steps():
                              TrackingConfig(base_t=0.4)).pi
                for p in (0, 1, "inf")}
     assert {p: c.pi for p, c in certs.items()} == tracked
+
+
+def test_certificate_ignores_the_match_ratio():
+    # the Rouché tests decide each step; a walk that ran the kernel's ratio
+    # test at the config's ratio bisected thousands of segments at 1000
+    # (so it fails here first) and did not end at 1e6
+    default = certify.certify(TrackingConfig())
+    for ratio in (1000, 1e6):
+        assert certify.certify(TrackingConfig(tol_match_ratio=ratio)) == \
+            default
 
 
 def test_certificate_of_a_small_loop_near_1():

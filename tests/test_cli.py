@@ -396,9 +396,9 @@ _COMMON_LAYERS = ["cli", "context", "dessins", "perms", "quintic",
     ("union", [], False),
     ("J", [], False),
     ("D", ["cells", "cover"], False),
-    # the triple is tracked through verify's binding, which the
-    # benchmark's probe rebinds, so the sheet loads the check registry
-    ("sheet", ["cells", "cover", "monodromy", "verify"], True),
+    # the triple is tracked through monodromy's binding unless the check
+    # registry is already loaded, so the sheet loads monodromy alone
+    ("sheet", ["monodromy"], False),
 ])
 def test_export_loads_only_the_layers_it_builds(tmp_path, target, extra,
                                                 dataclasses):
