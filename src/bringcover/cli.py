@@ -37,7 +37,8 @@ from .tracking import DEFAULT_STEPS, TrackingConfig, TrackingError
 # TrackingConfig field -> (type, help) of its flag, --base-t for base_t
 _TRACKING_FLAGS = {
     "steps": (int, f"waypoints per loop circle (default {DEFAULT_STEPS})"),
-    "seed": (int, "seed for the sampled identity checks"),
+    "seed": (int, "seed of the samples at which the printed expression's "
+                  "deviation is evaluated (the identities are exact)"),
     "base_t": (float, "real base point between 0 and 1 (default 0.5)"),
     "radius0": (float, None),
     "radius1": (float, None),

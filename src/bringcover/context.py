@@ -5,7 +5,7 @@ objects that the checks, the ``--json`` payloads and ``export`` read:
 the n=5 complex, its surface and orientation cover, the cover dessin D,
 the icosahedron, I4, the union with its dual, the recoloured dual J, the
 tracked monodromy triple and its 120-sheet dessin, the certificate and
-the sampled identities.  Each build imports its layer when it first
+the exact identities.  Each build imports its layer when it first
 runs, so a process that builds I4 alone loads none of cells, cover,
 monodromy or the check registry, and one that builds the sheet loads
 monodromy alone.

@@ -142,7 +142,8 @@ class GroupClosure(namedtuple("GroupClosure",
     would exceed ``cap`` the enumeration stops and ``cap_exceeded`` is set;
     ``elements`` is then incomplete and ``order`` meaningless.
 
-    No ``__slots__``: the element index is cached in the instance
+    No ``__slots__``: the element index and the getter of
+    :func:`regular_representation` are cached in the instance
     ``__dict__``, outside the field tuple that equality and hashing see.
     """
 
@@ -153,6 +154,11 @@ class GroupClosure(namedtuple("GroupClosure",
     @cached_property
     def _index(self) -> dict:
         return {p: i for i, p in enumerate(self.elements)}
+
+    @cached_property
+    def _images(self):
+        """One itemgetter that maps every element, laid end to end."""
+        return itemgetter(*chain.from_iterable(self.elements))
 
     def index_of(self, g: Perm) -> int:
         try:
@@ -202,8 +208,9 @@ def regular_representation(g: Perm, group: GroupClosure) -> Perm:
     """Left multiplication x -> g.x as a permutation of the group's
     canonical element order.
 
-    g maps all the elements, laid end to end, in one itemgetter call; the
-    images are cut back into elements and looked up in the group's index.
+    g maps all the elements, laid end to end, in one itemgetter call, the
+    group's cached ``_images``; the images are cut back into elements and
+    looked up in the group's index.
     """
     if group.cap_exceeded:
         raise ValueError("group enumeration incomplete (cap exceeded)")
@@ -212,7 +219,7 @@ def regular_representation(g: Perm, group: GroupClosure) -> Perm:
     n = len(g)
     if n < 2:
         return (0,)  # degree 0 or 1: the trivial group
-    images = iter(itemgetter(*chain.from_iterable(group.elements))(g))
+    images = iter(group._images(g))
     return tuple(map(group._index.__getitem__, zip(*[images] * n)))
 
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from functools import lru_cache
 
 from .quintic import BRANCH_SCALE, b_from_t, roots5
 
@@ -68,7 +69,8 @@ class TrackingConfig(namedtuple("TrackingConfig", (
         # resolution is too coarse and the loop fails rather than
         # silently degrading
         "max_depth", "budget_factor", "seed"))):
-    """The loop geometry, the kernel's tolerances and the sampling seed.
+    """The loop geometry, the kernel's tolerances and the sampling seed
+    of the printed expression's deviation.
 
     Validated on construction, by ``_replace`` and ``with_steps`` too: a
     config that exists can be tracked."""
@@ -100,7 +102,7 @@ class TrackingConfig(namedtuple("TrackingConfig", (
         # otherwise a bad branch fails only when a loop starts and a nan
         # budget_factor in the middle of tracking, while a negative
         # max_depth, meaningless, would act as 0 (no halving), and a None
-        # seed fails only in the sampled identities; type(...) is int
+        # seed fails only in the printed-deviation samples; type(...) is int
         # also turns away a bool
         if not (type(branch) is int and 0 <= branch <= 3):
             raise ValueError(f"branch must be an int in 0..3, got {branch!r}")
@@ -403,12 +405,19 @@ def track_path(ts, b0, xs0, tol_residual, match_ratio, max_depth, budget,
             max_halving_depth)
 
 
+@lru_cache(maxsize=None)
+def _base(base_t: complex, branch: int, tol_residual: float) -> tuple:
+    """(b0, xs0) at one base point, solved once per process for every
+    loop that starts there; a forked child inherits it."""
+    b0 = b_from_t(complex(base_t), branch)
+    return b0, roots5(1.0, b0, tol=tol_residual)
+
+
 def loop_start(spec: LoopSpec, cfg: TrackingConfig) -> tuple:
     """(b0, xs0, ts): a loop's base branch, base roots and waypoints; a
     rebinding of ``tracking.contour`` sees every loop, certified or not."""
-    b0 = b_from_t(complex(spec.base_t), cfg.branch)
-    xs0 = roots5(1.0, b0, tol=cfg.tol_residual)
-    return b0, xs0, contour(spec)
+    return (*_base(spec.base_t, cfg.branch, cfg.tol_residual),
+            contour(spec))
 
 
 def track_loop(spec: LoopSpec, cfg: TrackingConfig) -> TrackResult:

@@ -14,7 +14,7 @@ observed.  A check passes iff the observed value equals ``expected``.  The
 checks whose claim is not an equality declare a ``verdict`` instead, a
 function of the observed value: ``monodromy.quality`` gates on
 tolerances and on the Rouché certificate of :mod:`certify`,
-``monodromy.identities`` on tolerances, ``dessins.main_isomorphism`` on
+``monodromy.identities`` on exact zeros, ``dessins.main_isomorphism`` on
 whether an isomorphism was found up to mirroring.  Two checks are
 info-level findings (the mirror flag of the main isomorphism and the
 weight defect of the quartic-power expression), whose verdict is "info":
@@ -412,11 +412,11 @@ def check_sheet_isomorphism(ctx):
 
 @check("monodromy.identities",
        "power sums 1..3 of the roots vanish and 1 - 1/f equals "
-       "-3125 b^4 / (256 a^5) on random samples",
-       expected={"all": "< 1e-9 relative"},
+       "-3125 b^4 / (256 a^5) identically",
+       expected={"all": "0 exactly, in Z[a, b]"},
        verdict=lambda got: all(
-           got[k] < 1e-9 for k in ("max_power_sum", "max_identity_error",
-                                   "max_symmetric_error")))
+           got[k] == 0 for k in ("max_power_sum", "max_identity_error",
+                                 "max_symmetric_error")))
 def check_identities(ctx):
     rep = ctx.identities
     return {"samples": rep.samples, "max_power_sum": rep.max_power_sum,

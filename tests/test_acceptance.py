@@ -160,9 +160,10 @@ def test_criterion_10_belyi_pair_closure():
 def test_criterion_11_numerical_identities():
     with criterion(11, "root identities", 5.0):
         rep = verify_identities(samples=100, seed=0)
-        assert rep.max_power_sum < 1e-9
-        assert rep.max_identity_error < 1e-9
-        assert rep.max_symmetric_error < 1e-9
+        # proved in Z[a, b]: no residual coefficient is left
+        assert rep.max_power_sum == 0
+        assert rep.max_identity_error == 0
+        assert rep.max_symmetric_error == 0
         # info-level finding: the quartic-power expression is not
         # projectively invariant (weight -9 under root rescaling)
         assert rep.printed_expression_exponent == -9

@@ -1,6 +1,7 @@
 import random
-from itertools import permutations
+from itertools import chain, permutations
 from math import factorial
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -208,6 +209,23 @@ def test_regular_representation_matches_definition(gens):
             regular_representation(gens[0], grp)
         return
     for g in grp.elements[:: max(1, grp.order // 8)]:
+        assert regular_representation(g, grp) == tuple(
+            grp.index_of(compose(g, x)) for x in grp.elements)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: symmetric_group(5),
+    # the union dessin's automorphisms: S5 acting on its 120 darts
+    lambda: automorphism_group(build_i4().union_with_dual()),
+], ids=["S5", "union-automorphisms"])
+def test_cached_getter_maps_every_element(build):
+    grp = build()
+    assert grp.order == 120
+    getter = grp._images
+    assert grp._images is getter  # built once per group
+    rng = random.Random(9)
+    for g in [grp.elements[0], *rng.sample(grp.elements, 5)]:
+        assert getter(g) == itemgetter(*chain.from_iterable(grp.elements))(g)
         assert regular_representation(g, grp) == tuple(
             grp.index_of(compose(g, x)) for x in grp.elements)
 

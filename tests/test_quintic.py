@@ -7,15 +7,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bringcover import quintic, verify
+from bringcover import quintic, tracking, verify
 from bringcover.quintic import (
     INF,
     b_from_t,
     f_value,
-    power_sums,
     roots5,
     verify_identities,
 )
+
+
+def power_sums(roots, upto=3):
+    return [sum(x**k for x in roots) for k in range(1, upto + 1)]
 
 
 def test_roots5_fifth_roots_of_unity():
@@ -204,12 +207,22 @@ def test_power_sums_vanish():
 def test_identity_report():
     rep = verify_identities(samples=100, seed=0)
     assert rep.samples == 100
-    assert rep.max_power_sum < 1e-9
-    assert rep.max_identity_error < 1e-9
-    assert rep.max_symmetric_error < 1e-9
+    # exact: the residual polynomials in Z[a, b] have no coefficient left
+    assert (rep.max_power_sum, rep.max_identity_error,
+            rep.max_symmetric_error) == (0, 0, 0)
     # the monodromy.identities check passes this report
     (check,) = [c for c in verify.CHECKS if c.name == "monodromy.identities"]
     assert check.verdict(check.fn(SimpleNamespace(identities=rep)))
+
+
+def test_identities_verdict_wants_exact_zeros():
+    (check,) = [c for c in verify.CHECKS if c.name == "monodromy.identities"]
+    rep = verify_identities(samples=1, seed=0)
+    for field in ("max_power_sum", "max_identity_error",
+                  "max_symmetric_error"):
+        # a float residual that the former 1e-9 tolerance let through
+        bad = rep._replace(**{field: 1e-15})
+        assert not check.verdict(check.fn(SimpleNamespace(identities=bad)))
 
 
 def test_printed_expression_findings():
@@ -223,3 +236,107 @@ def test_printed_expression_findings():
 def test_identity_report_deterministic():
     assert verify_identities(samples=30, seed=5) == \
         verify_identities(samples=30, seed=5)
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_verify_identities_rejects_empty_samples(samples):
+    # with no sample the printed deviation would read 0 with nothing
+    # evaluated
+    with pytest.raises(ValueError, match="samples"):
+        verify_identities(samples=samples, seed=0)
+
+
+def test_verify_identities_solves_no_quintic(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return roots5(*args, **kwargs)
+
+    monkeypatch.setattr(quintic, "roots5", counting)
+    monkeypatch.setattr(tracking, "roots5", counting)
+    verify_identities(samples=100, seed=0)
+    assert calls == []
+
+
+def _root_forms(roots):
+    """-3125 / (256 prod(x) (sum 1/x)^5) and 3125 (sum 1/x)^4 / (256 prod(x))
+    in floats."""
+    prod = 1.0 + 0j
+    inv_sum = 0j
+    for x in roots:
+        prod *= x
+        inv_sum += 1 / x
+    return -3125 / (256 * prod * inv_sum**5), 3125 * inv_sum**4 / (256 * prod)
+
+
+_unit = st.floats(-1, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_unit, _unit, _unit, _unit)
+def test_root_identities_hold_in_floats(ar, ai, br, bi):
+    # the float sweep that verify-all ran before its identities were exact:
+    # the Aberth roots satisfy what the polynomial proof says, at (a, b)
+    # drawn and kept as quintic._sample_coeffs draws and keeps them
+    a, b = complex(ar, ai), complex(br, bi)
+    assume(abs(a) >= 0.2 and abs(b) >= 0.2
+           and abs(256 * a**5 + 3125 * b**4) >= 0.05)
+    xs = roots5(a, b)
+    for k, p in enumerate(power_sums(xs), start=1):
+        assert abs(p) <= 1e-9 * sum(abs(x) ** k for x in xs)
+    value = -3125 * b**4 / (256 * a**5)
+    symmetric, printed = _root_forms(xs)
+    assert abs(symmetric - value) <= 1e-9 * abs(value)
+    want = -3125 * a**4 / (256 * b**5)
+    assert abs(printed - want) <= 1e-9 * abs(want)
+
+
+def test_identities_match_a_sympy_oracle():
+    # Vieta and the fundamental theorem of symmetric polynomials, by sympy
+    import sympy as sp
+    from sympy.polys.polyfuncs import symmetrize
+
+    a, b, lam, t = sp.symbols("a b lam t")
+    xs = sp.symbols("x1:6")
+    coeffs = sp.Poly(sp.prod(t - x for x in xs), t).all_coeffs()[1:]
+    target = (0, 0, 0, a, b)    # t^5 + a t + b
+
+    def in_coeffs(expr):
+        poly, rest, names = symmetrize(expr, *xs, formal=True)
+        assert rest == 0
+        # symmetrize's s_k is the k-th elementary polynomial e_k, and
+        # (-1)^k e_k is the t^(5-k) coefficient of prod (t - x_i)
+        subs = {}
+        for name, e in names:
+            k = int(str(name)[1:])
+            assert sp.expand((-1) ** k * e - coeffs[k - 1]) == 0
+            subs[name] = (-1) ** k * target[k - 1]
+        return sp.together(poly.subs(subs))
+
+    for k in (1, 2, 3):
+        assert in_coeffs(sum(x**k for x in xs)) == 0
+    f = 256 * a**5 / (256 * a**5 + 3125 * b**4)
+    value = sp.simplify(1 - 1 / f)
+    assert sp.simplify(value + 3125 * b**4 / (256 * a**5)) == 0
+    inv_sum = in_coeffs(sum(sp.prod(y for y in xs if y != x) for x in xs)) \
+        / in_coeffs(sp.prod(xs))
+    prod = in_coeffs(sp.prod(xs))
+    assert sp.simplify(-3125 / (256 * prod * inv_sum**5) - value) == 0
+    printed = sp.simplify(3125 * inv_sum**4 / (256 * prod))
+    assert sp.simplify(printed + 3125 * a**4 / (256 * b**5)) == 0
+    # the degree count: rescaling the roots by lam takes (a, b) to
+    # (lam^4 a, lam^5 b)
+    weight = sp.simplify(printed.subs({a: lam**4 * a, b: lam**5 * b},
+                                      simultaneous=True) / printed)
+    rep = verify_identities(samples=50, seed=3)
+    assert weight == lam**rep.printed_expression_exponent
+    assert (rep.max_power_sum, rep.max_identity_error,
+            rep.max_symmetric_error) == (0, 0, 0)
+    # the deviation is the closed forms' at the seeded samples
+    ratio = sp.lambdify((a, b), sp.simplify(printed / value), "math")
+    rng = random.Random(3)
+    want = max(abs(ratio(*quintic._sample_coeffs(rng)) - 1)
+               for _ in range(50))
+    assert math.isclose(rep.printed_expression_deviation, want,
+                        rel_tol=1e-9)

@@ -541,7 +541,7 @@ def test_config_rejects_bad_match_ratio(ratio):
     (7, "branch"), (-1, "branch"), (1.0, "branch"),
     (-1, "max_depth"), (2.5, "max_depth"),
     # a bool is an int to isinstance; a None seed would fail only when the
-    # sampled identities add to it
+    # printed-deviation samples add to it
     (True, "branch"), (True, "max_depth"), (False, "max_depth"),
     (None, "seed"), (1.0, "seed"), (True, "seed"), ("0", "seed"),
     (math.nan, "budget_factor"), (math.inf, "budget_factor"),
@@ -662,3 +662,18 @@ def test_step_work_guard_at_the_default(monkeypatch):
     # the same guard at the default resolution, where Newton needs more
     # iterations per step: about 16 abs calls besides the 20 above
     assert _abs_calls_per_step(monkeypatch, DEFAULT_STEPS) <= 38
+
+
+# ------------------------------------------------------------ base point
+
+def test_loop_start_branch_picks_the_base_roots():
+    # the cached base solve is keyed by branch: branch 2 is the opposite
+    # fourth root, and each start carries the roots of its own quintic
+    spec = loop_spec(CFG, 0)
+    b0, xs0, _ = tracking.loop_start(spec, CFG)
+    b2, xs2, _ = tracking.loop_start(spec, CFG._replace(branch=2))
+    assert b0 != b2
+    assert abs(b2 + b0) <= 1e-15 * abs(b0)
+    for b, xs in ((b0, xs0), (b2, xs2)):
+        assert xs == roots5(1.0, b, tol=CFG.tol_residual)
+

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from bringcover import verify
+from bringcover import quintic, tracking, verify
 
 EQUALITY_CHECKS = [c for c in verify.CHECKS if c.verdict is None]
 
@@ -20,6 +20,22 @@ def test_verify_all_rows_and_modules():
                               "perms")
     assert {c.module for c in verify.CHECKS} == set(verify.MODULES)
     assert all(c.name.startswith(c.module + ".") for c in verify.CHECKS)
+
+
+def test_verify_all_solves_one_quintic(monkeypatch):
+    # the identities are exact and every loop starts from one cached base
+    # solve: the triple, its doubling and the certificate share it
+    roots5, calls = quintic.roots5, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return roots5(*args, **kwargs)
+
+    monkeypatch.setattr(quintic, "roots5", counting)
+    monkeypatch.setattr(tracking, "roots5", counting)
+    tracking._base.cache_clear()
+    assert verify.run_checks()["status"] == "pass"
+    assert len(calls) == 1
 
 
 def test_check_names_are_unique():
