@@ -34,13 +34,21 @@ that name their positions, so the geometry is defined once, in
 
 One index per (n, k) maps each normal form found so far to its class:
 ``canonical_class`` normalises and looks up, walking the class on a
-miss, and ``enumerate_cells`` fills the index with every class.
+miss, and ``enumerate_cells`` fills the index with every class.  Each
+class is one object shared by all its normal forms, so enumeration
+dedupes the index's values by identity.
+
+A walk validates every normal form it reaches as a LabeledPolygon, whose
+checks run once per distinct label tuple and once per distinct chord
+tuple: n = 6 has 2700 normal forms but only 60 label and 45 chord
+tuples.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from operator import itemgetter
 
 
 def _chords_cross(c1, c2) -> bool:
@@ -49,34 +57,76 @@ def _chords_cross(c1, c2) -> bool:
     return (a < c < b < d) or (c < a < d < b)
 
 
+@lru_cache(maxsize=4096)
+def _check_labels(n: int, labels: tuple) -> tuple:
+    """``labels``, checked to be a permutation of 1..n (else ValueError),
+    as ints.  Only a success is cached, and every key equal to it, with
+    2.0 for 2 say, gets the same ints back."""
+    if sorted(labels) != list(range(1, n + 1)):
+        raise ValueError(f"labels must be a permutation of 1..{n}")
+    return tuple(map(int, labels))
+
+
+@lru_cache(maxsize=4096)
+def _check_chords(n: int, diags: tuple) -> tuple:
+    """``diags``, checked to be sorted, distinct, admissible and pairwise
+    non-crossing (a, b) chords of an n-gon (else ValueError), as int
+    pairs; cached as in :func:`_check_labels`."""
+    for c in diags:
+        if not (isinstance(c, tuple) and len(c) == 2):
+            raise ValueError(f"diagonal {c!r} is not an (a, b) pair")
+    if tuple(sorted(diags)) != diags:
+        raise ValueError("diags must be stored sorted")
+    # a repeated chord would count twice against the dimension
+    if len(set(diags)) != len(diags):
+        raise ValueError(f"repeated diagonal in {diags}")
+    for c in diags:
+        a, b = c
+        if not (0 <= a < b < n and 2 <= b - a <= n - 2) or \
+                a != int(a) or b != int(b):
+            raise ValueError(f"inadmissible chord {c} in an {n}-gon")
+    # sorted and distinct, (a, b) < (c, d): they cross iff a < c < b < d
+    for i, c1 in enumerate(diags):
+        a, b = c1
+        for c2 in diags[i + 1:]:
+            c, d = c2
+            if a < c < b < d:
+                raise ValueError(f"crossing chords {c1} and {c2}")
+    return tuple([(int(a), int(b)) for a, b in diags])
+
+
 class LabeledPolygon(namedtuple("LabeledPolygon", "n labels diags")):
     """An n-gon with side labels and sorted non-crossing diagonals
     ``diags``, a tuple of (a, b) corner pairs with a < b.  Compared,
-    ordered and hashed as the tuple (n, labels, diags)."""
+    ordered and hashed as the tuple (n, labels, diags).
+
+    The labels and the chords are checked once per distinct (n, labels)
+    and (n, diags), by two bounded caches, and stored as the ints the
+    caches give back, whichever equal key came first.  Types are checked
+    before them: 5.0 equals 5 and would share its entries, and a list
+    cannot key a cache, nor make a polygon that hashes."""
 
     __slots__ = ()
 
     def __new__(cls, n: int, labels: tuple, diags: tuple):
+        if type(n) is not int:  # also turns away a bool
+            raise ValueError(f"polygon size must be an int, got {n!r}")
         if n < 3:
             raise ValueError("polygon needs at least 3 sides")
-        if sorted(labels) != list(range(1, n + 1)):
-            raise ValueError(f"labels must be a permutation of 1..{n}")
-        if tuple(sorted(diags)) != diags:
-            raise ValueError("diags must be stored sorted")
-        # a repeated chord would count twice against the dimension
-        if len(set(diags)) != len(diags):
-            raise ValueError(f"repeated diagonal in {diags}")
-        for c in diags:
-            a, b = c
-            if not (0 <= a < b < n and 2 <= b - a <= n - 2):
-                raise ValueError(f"inadmissible chord {c} in an {n}-gon")
-        # sorted and distinct, (a, b) < (c, d): they cross iff a < c < b < d
-        for i, c1 in enumerate(diags):
-            a, b = c1
-            for c2 in diags[i + 1:]:
-                c, d = c2
-                if a < c < b < d:
-                    raise ValueError(f"crossing chords {c1} and {c2}")
+        if type(labels) is not tuple:
+            raise ValueError(f"labels must be a tuple, got {labels!r}")
+        try:
+            labels = _check_labels(n, labels)
+        except TypeError:  # a label that cannot be hashed or ordered
+            raise ValueError(
+                f"labels must be a permutation of 1..{n}") from None
+        if type(diags) is not tuple:
+            raise ValueError(f"diags must be a tuple, got {diags!r}")
+        try:
+            diags = _check_chords(n, diags)
+        except TypeError:  # a chord that cannot be hashed or ordered
+            raise ValueError("diags must hold (a, b) corner pairs, "
+                             f"got {diags!r}") from None
         return tuple.__new__(cls, (n, labels, diags))
 
     @classmethod
@@ -171,9 +221,10 @@ def _moves(n: int) -> dict:
 
     The twist puts the labels of sides u and v next to label 1, after and
     before it; ``less`` is the move when labels[u] < labels[v], ``more``
-    the other one.  Each is (positions, chord_map): the image's side i
-    carries labels[positions[i]], and a chord c that does not cross the
-    twisted one goes to chord_map[c]."""
+    the other one.  Each is (take, chord_map): take(labels) gives the
+    image's labels, an itemgetter of the positions the image's sides take
+    their labels from, and a chord c that does not cross the twisted one
+    goes to chord_map[c]."""
     chords = [c for (c,) in _admissible_chord_sets(n, 1)]
     moves = {}
     for chord in chords:
@@ -188,7 +239,7 @@ def _moves(n: int) -> dict:
             labels[x], labels[y] = sorted((x + 1, y + 1))
             image, moved = _normal_form(*_twist_key(tuple(labels), keep,
                                                     chord))
-            entries.append((tuple([labels.index(label) for label in image]),
+            entries.append((itemgetter(*map(labels.index, image)),
                             dict(zip(keep, moved))))
         moves[chord] = (u, v, *entries)
     return moves
@@ -199,9 +250,8 @@ def _apply_move(move, labels: tuple, chords: tuple) -> tuple:
     the entry of ``_moves`` for the twisted chord; the chords keep their
     order."""
     u, v, less, more = move
-    positions, chord_map = less if labels[u] < labels[v] else more
-    return (tuple(map(labels.__getitem__, positions)),
-            tuple([chord_map[c] for c in chords]))
+    take, chord_map = less if labels[u] < labels[v] else more
+    return take(labels), tuple(map(chord_map.__getitem__, chords))
 
 
 @lru_cache(maxsize=None)
@@ -212,37 +262,40 @@ def _index(n: int, k: int) -> dict:
 
 
 def _class_of(n: int, form) -> CellClass:
-    """The class of a normal form, from the index or else by a walk over
-    the subsets of its k chords.
+    """The class of a normal form, from the index or else by a walk."""
+    index = _index(n, len(form[1]))
+    cls = index.get(form)
+    return _walk(n, form, index) if cls is None else cls
+
+
+def _walk(n: int, form, index: dict) -> CellClass:
+    """The class of a normal form that ``index`` lacks, by a walk over the
+    subsets of its k chords; its normal forms go into ``index``.
 
     Twists along distinct chords commute up to a dihedral move, and a
     twist done twice is a dihedral move, so the normal forms of the class
     are the images of the 2^k subsets of ``form``'s chords.  The walk
-    carries each image's chords in the order of ``form``'s, and from the
-    image of a subset S twists only along the chords after max(S): each
-    subset is reached once, by 2^k - 1 twists in all, each one a move of
-    ``_moves(n)``.  A subset whose image was already reached raises
-    RuntimeError, since the argument above then fails.  Each normal form
-    is validated once, as a LabeledPolygon."""
-    index = _index(n, len(form[1]))
-    if form in index:
-        return index[form]
-    rep = LabeledPolygon(n, *form)
+    carries each image's chords in the order of ``form``'s, and reaches
+    the image of a subset S (a bit mask) from that of S less its highest
+    chord i, by one move of ``_moves(n)`` along chord i: 2^k - 1 twists in
+    all.  A subset whose image was already reached raises RuntimeError,
+    since the argument above then fails.  Each normal form is validated
+    once, as a LabeledPolygon."""
+    polygons = {form: LabeledPolygon(n, *form)}  # normal form -> polygon
     moves = _moves(n)
-    forms = {form}
-    stack = [(form, 0)]  # (labels, chords in form's order), next chord
-    while stack:
-        (labels, chords), start = stack.pop()
-        for i in range(start, len(chords)):
-            image = _apply_move(moves[chords[i]], labels, chords)
-            key = (image[0], tuple(sorted(image[1])))
-            if key in forms:
-                raise RuntimeError(f"two twist subsets of {form} give {key}")
-            rep = min(rep, LabeledPolygon(n, *key))
-            forms.add(key)
-            stack.append((image, i + 1))
-    cls = CellClass(rep=rep, orbit_size=2 * n * len(forms))
-    index.update(dict.fromkeys(forms, cls))
+    images = [form]  # images[S]: (labels, chords in form's order)
+    for mask in range(1, 1 << len(form[1])):
+        i = mask.bit_length() - 1
+        labels, chords = images[mask ^ (1 << i)]
+        image = _apply_move(moves[chords[i]], labels, chords)
+        key = (image[0], tuple(sorted(image[1])))
+        if key in polygons:
+            raise RuntimeError(f"two twist subsets of {form} give {key}")
+        polygons[key] = LabeledPolygon(n, *key)
+        images.append(image)
+    cls = CellClass(rep=min(polygons.values()),
+                    orbit_size=2 * n * len(polygons))
+    index.update(dict.fromkeys(polygons, cls))
     return cls
 
 
@@ -285,6 +338,9 @@ def _all_labelings(n: int):
 def enumerate_cells(n: int, k: int) -> list:
     """All distinct cell classes of the n-point space with k diagonals,
     sorted by canonical representative."""
+    # 6.0 would key the index apart from 6, and True would pass for 1
+    if type(n) is not int or type(k) is not int:
+        raise ValueError(f"n and k must be ints, got {n!r} and {k!r}")
     if not 3 <= n <= 8:
         raise ValueError("n out of the supported range 3..8")
     if not 0 <= k <= n - 3:
@@ -294,8 +350,9 @@ def enumerate_cells(n: int, k: int) -> list:
         if labels[1] < labels[-1]:  # the normal-form placement
             for diags in _admissible_chord_sets(n, k):
                 if (labels, diags) not in index:
-                    _class_of(n, (labels, diags))
-    return sorted(set(index.values()))
+                    _walk(n, (labels, diags), index)
+    # each class is one object shared by its normal forms
+    return sorted({id(cls): cls for cls in index.values()}.values())
 
 
 def refinements(c: CellClass) -> list:
@@ -306,12 +363,13 @@ def refinements(c: CellClass) -> list:
     # module built), and a chord added to a normal form leaves one, which
     # the index holds or the walk validates
     n, labels, diags = canonical_class(c.rep).rep
-    found = set()
+    found = {}  # by identity, as enumerate_cells dedupes
     for (new,) in _admissible_chord_sets(n, 1):
         if new in diags or any(_chords_cross(new, d) for d in diags):
             continue
-        found.add(_class_of(n, (labels, tuple(sorted(diags + (new,))))))
-    return sorted(found)
+        cls = _class_of(n, (labels, tuple(sorted(diags + (new,)))))
+        found[id(cls)] = cls
+    return sorted(found.values())
 
 
 # The boundary 5-cycle of a pentagon cell: the five diagonals listed so

@@ -195,8 +195,12 @@ def loop_entry(spec: LoopSpec) -> tuple:
                              f"punctures, but its {spec.steps}-gon has "
                              f"inradius {inradius:.6g} <= 1")
         center = 0j
-        entry = complex(t0.real,
-                        math.sqrt(spec.radius**2 - t0.real**2))
+        try:
+            square = spec.radius**2
+        except OverflowError:
+            raise ValueError("infinity loop radius too large, its square "
+                             f"overflows: {spec.radius!r}") from None
+        entry = complex(t0.real, math.sqrt(square - t0.real**2))
     else:
         center = complex(spec.puncture)
         if abs(t0 - center) <= spec.radius:

@@ -570,3 +570,83 @@ def polygon_inputs(draw):
 def test_polygon_checks_match_reference(args):
     assert _outcome(LabeledPolygon, *args) == \
         _outcome(reference_validate, *args)
+
+
+@settings(max_examples=400)
+@given(polygon_inputs())
+def test_polygon_checks_repeat_through_the_caches(args):
+    # the second call meets the cached success, or recomputes the failure
+    first = _outcome(LabeledPolygon, *args)
+    assert _outcome(LabeledPolygon, *args) == first == \
+        _outcome(reference_validate, *args)
+
+
+@pytest.mark.parametrize("args", [
+    (5, [1, 2, 3, 4, 5], ()),            # would build an unhashable polygon
+    (5, (1, 2, 3, 4, 5), ([0, 2],)),     # a list chord
+    (5, (1, 2, 3, 4, 5), [(0, 2)]),
+    (5, (1, 2, 3, 4, 5), ((0, 2, 4),)),
+    (5.0, (1, 2, 3, 4, 5), ()),          # would share 5's cache entries
+    (True, (1,), ()),
+    (5, (1, 2, 3, 4, "5"), ()),
+    (5, (1, 2, 3, 4, 5), ((0.5, 2.5),)),  # within range, but no corners
+])
+def test_polygon_rejects_bad_types(args):
+    with pytest.raises(ValueError):
+        LabeledPolygon(*args)
+
+
+@pytest.mark.parametrize("n, k", [(6.0, 0), (5, 1.0), (5, True)])
+def test_enumerate_rejects_non_int_arguments(n, k):
+    with pytest.raises(ValueError, match="must be ints"):
+        enumerate_cells(n, k)
+
+
+@pytest.fixture
+def counted_checks(monkeypatch):
+    """Fresh caches around the two polygon checks, counting the inputs
+    each one actually runs on."""
+    runs = {"_check_labels": 0, "_check_chords": 0}
+    for name in runs:
+        check = getattr(cellmod, name).__wrapped__
+
+        def counted(n, key, name=name, check=check):
+            runs[name] += 1
+            return check(n, key)
+
+        monkeypatch.setattr(cellmod, name, lru_cache(maxsize=4096)(counted))
+    return runs
+
+
+def test_checks_run_once_per_distinct_tuple(fresh_index, counted_checks):
+    # 2700 normal forms at n = 6 carry 60 label tuples and 45 chord sets
+    for k in range(4):
+        enumerate_cells(6, k)
+    assert counted_checks == {"_check_labels": 60, "_check_chords": 45}
+
+
+def test_failed_checks_are_not_cached(counted_checks):
+    for _ in range(2):
+        with pytest.raises(ValueError, match="crossing chords"):
+            LabeledPolygon(5, (1, 2, 3, 4, 5), ((0, 2), (1, 3)))
+    assert counted_checks == {"_check_labels": 1, "_check_chords": 2}
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_equal_keys_make_the_same_int_polygon(counted_checks, first):
+    # 2.0 equals 2 and shares its cache entry: the polygon holds ints
+    # whichever key was checked first, so no float reaches a class rep
+    keys = [((1.0, 2.0, 3.0, 4.0, 5.0), ((0.0, 2.0),)),
+            ((1, 2, 3, 4, 5), ((0, 2),))]
+    for labels, diags in keys[first:] + keys[:first]:
+        p = LabeledPolygon(5, labels, diags)
+        assert p.to_text() == "n=5; labels=(1,2,3,4,5); diags={(0,2)}"
+    assert counted_checks == {"_check_labels": 1, "_check_chords": 1}
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_enumerate_dedupes_the_index_by_identity(fresh_index, n):
+    for k in range(n - 2):
+        first = enumerate_cells(n, k)
+        assert first == sorted(set(cellmod._index(n, k).values()))
+        assert enumerate_cells(n, k) == first

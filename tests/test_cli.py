@@ -332,6 +332,21 @@ def test_bad_tracking_flags_exit_2(capsys, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["verify-all"], ["monodromy"],
+    ["export", "--target", "D", "--path", os.devnull],
+])
+def test_huge_radius_inf_exits_2(capsys, command):
+    # its square overflows a float: a usage error, not a traceback
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--radius-inf", "1e200"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "overflows" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def _config_values(argv):
     """The TrackingConfig keywords the CLI reads from ``argv``."""
     args = build_parser().parse_args(["monodromy", *argv])

@@ -210,6 +210,15 @@ def test_loop_spec_validation():
     contour(LoopSpec(puncture="inf", base_t=0.5, radius=1.001, steps=1024))
 
 
+def test_huge_infinity_radius_is_a_value_error():
+    # radius_inf**2 overflows a float: an OverflowError would escape the
+    # config's ValueError contract and the CLI's exit code 2
+    with pytest.raises(ValueError, match="overflows"):
+        TrackingConfig(radius_inf=1e200)
+    with pytest.raises(ValueError, match="overflows"):
+        contour(LoopSpec(puncture="inf", base_t=0.5, radius=1e200, steps=32))
+
+
 def test_loop_around_one_is_4_cycle():
     res = track_loop(loop_spec(CFG, 1), CFG)
     assert cycle_type(res.pi) == (4, 1)
