@@ -364,12 +364,22 @@ def refinements(c: CellClass) -> list:
     # the index holds or the walk validates
     n, labels, diags = canonical_class(c.rep).rep
     found = {}  # by identity, as enumerate_cells dedupes
-    for (new,) in _admissible_chord_sets(n, 1):
-        if new in diags or any(_chords_cross(new, d) for d in diags):
+    for new, blocked in _blockers(n).items():
+        if not blocked.isdisjoint(diags):
             continue
         cls = _class_of(n, (labels, tuple(sorted(diags + (new,)))))
         found[id(cls)] = cls
     return sorted(found.values())
+
+
+@lru_cache(maxsize=None)
+def _blockers(n: int) -> dict:
+    """Admissible chord -> the chords that keep it out of a refinement:
+    itself and every chord it crosses, in the order of
+    ``_admissible_chord_sets(n, 1)``."""
+    chords = [c for (c,) in _admissible_chord_sets(n, 1)]
+    return {c: frozenset(d for d in chords if d == c or _chords_cross(c, d))
+            for c in chords}
 
 
 # The boundary 5-cycle of a pentagon cell: the five diagonals listed so

@@ -13,9 +13,15 @@ involution identities and by the census of the 4-icosahedron.
 Isomorphisms and automorphisms come from one word table: the words that
 reach each dart from dart 0 in the source's rotations, spelled in the
 target's.  A map that intertwines the rotations is one column of it.
-``isomorphic`` takes the first column kept, ``automorphism_group`` all
-of them, and closes the generators it picks from them once, to prove
-that they form a group.
+``isomorphic`` takes the first column kept.  ``presented_automorphisms``
+takes two columns, checks that they commute with both rotations and
+satisfy a presentation of A5 or S5, and counts their orbit of dart 0:
+the relators bound the group they generate by the presentation's order,
+automorphisms of a connected dessin act semiregularly, so an orbit of
+every dart makes that group all of Aut, of the orbit's order.  That is
+how the checks prove each automorphism group.  ``automorphism_group``
+reads every column and closes the generators it picks from them once,
+to prove that they form a group; it is the whole-group oracle.
 """
 
 from __future__ import annotations
@@ -35,6 +41,8 @@ from .perms import (
     is_perm,
     num_cycles,
     parse_cycle_string,
+    presentation_order,
+    presents,
 )
 
 
@@ -250,18 +258,14 @@ class IsoMap(namedtuple("IsoMap", "mapping")):
         )
 
 
-def _maps(a: Dessin, b: Dessin):
-    """Every dart bijection a -> b that intertwines both rotations, in the
-    order of the image of dart 0; a and b are connected, of one degree.
+def _word_table(a: Dessin, b: Dessin) -> list:
+    """``words[x]``: a word w_x in a's rotations with w_x(0) = x, spelled
+    in b's rotations; a and b are connected, of one degree.
 
-    One breadth-first pass from dart 0 over a's sigma0 and sigma1 gives
-    each dart x a word w_x in a's rotations with w_x(0) = x; ``words[x]``
-    is the same word in b's rotations.  A map h that intertwines the
-    rotations sends x = w_x(0) to w_x(h(0)), so the one with 0 -> t is
-    column t of the word table.  Column t is kept iff it intertwines both
-    rotations; its image is then closed under b's rotations, so it is
-    onto and a bijection.  The columns are tested lazily: the first one
-    kept costs the table and the columns before it.
+    One breadth-first pass from dart 0 over a's sigma0 and sigma1 finds
+    the words.  A map h that intertwines the rotations sends x = w_x(0)
+    to w_x(h(0)), so the one with 0 -> t is column t of the table,
+    ``words[x][t]`` for every x.
     """
     pairs = ((a.sigma0, b.sigma0), (a.sigma1, b.sigma1))
     words = [None] * a.n_darts
@@ -273,8 +277,27 @@ def _maps(a: Dessin, b: Dessin):
             if words[y] is None:
                 words[y] = compose(gb, words[x])
                 queue.append(y)
-    for c in zip(*words):
-        if all(compose(c, ga) == compose(gb, c) for ga, gb in pairs):
+    return words
+
+
+def _intertwines(h, a: Dessin, b: Dessin) -> bool:
+    """h . sigma = sigma' . h for both rotations of a and b."""
+    return (compose(h, a.sigma0) == compose(b.sigma0, h)
+            and compose(h, a.sigma1) == compose(b.sigma1, h))
+
+
+def _maps(a: Dessin, b: Dessin):
+    """Every dart bijection a -> b that intertwines both rotations, in the
+    order of the image of dart 0; a and b are connected, of one degree.
+
+    The candidates are the columns of :func:`_word_table`.  Column t is
+    kept iff it intertwines both rotations; its image is then closed
+    under b's rotations, so it is onto and a bijection.  The columns are
+    tested lazily: the first one kept costs the table and the columns
+    before it.
+    """
+    for c in zip(*_word_table(a, b)):
+        if _intertwines(c, a, b):
             yield c
 
 
@@ -342,6 +365,71 @@ def acts_freely(d: Dessin, grp: GroupClosure) -> bool:
     """No nonidentity automorphism fixes a dart."""
     e = identity(d.n_darts)
     return all(g == e or not any(map(eq, g, e)) for g in grp.elements)
+
+
+class PresentedGroup(namedtuple("PresentedGroup",
+                                "order acts_freely group")):
+    """The automorphism group of a dessin, proved by a presentation pair.
+
+    ``order`` is the size of the orbit of dart 0 under the pair,
+    ``acts_freely`` whether that size is the presentation's order, and
+    ``group`` the presentation's name if it is, else ``Other(order)`` as
+    in :func:`perms.identify_closure`."""
+
+    __slots__ = ()
+
+
+def presented_automorphisms(d: Dessin, name: str, x: int,
+                            y: int) -> PresentedGroup:
+    """Aut(d) from the automorphisms a, b that send dart 0 to x and to y,
+    checked against the presentation ``name`` of :mod:`perms`.
+
+    a and b are columns x and y of :func:`_word_table`, and
+    each must commute with both rotations.  Then:
+
+    - the automorphisms of the connected dessin d act semiregularly, so
+      any group of them has the order of its orbit of dart 0, and Aut(d)
+      at most n_darts;
+    - a and b satisfy the presentation (:func:`perms.presents`), so the
+      group G they generate is a quotient of the presented group, of
+      order at most :func:`perms.presentation_order`;
+    - the orbit of dart 0 under a and b has n_darts darts, so G has order
+      n_darts and is all of Aut(d).
+
+    When that order is the presentation's, G is the presented group, and
+    its stabilizer of a dart is trivial.  A column that is not an
+    automorphism, a pair that fails the presentation and an orbit short
+    of n_darts raise ``ValueError`` with what was found
+    (Coxeter-Moser 1957; Jones-Wolfart, *Dessins d'Enfants on Riemann
+    Surfaces*, 2016).
+    """
+    if not d.is_connected:
+        raise ValueError("automorphisms need a connected dessin")
+    words = _word_table(d, d)
+    pair = []
+    for t in (x, y):
+        if not 0 <= t < d.n_darts:
+            raise ValueError(f"dart {t!r} is not one of {d.n_darts} darts")
+        h = tuple(w[t] for w in words)
+        if not _intertwines(h, d, d):
+            raise ValueError(f"no automorphism sends dart 0 to dart {t}")
+        pair.append(h)
+    if not presents(name, *pair):
+        raise ValueError(f"the automorphisms at darts {x} and {y} do not "
+                         f"satisfy the {name} presentation")
+    orbit = {0}
+    queue = [0]
+    for z in queue:
+        for h in pair:
+            if h[z] not in orbit:
+                orbit.add(h[z])
+                queue.append(h[z])
+    order = len(orbit)
+    if order != d.n_darts:
+        raise ValueError(f"the automorphisms at darts {x} and {y} reach "
+                         f"{order} of {d.n_darts} darts")
+    free = order == presentation_order(name)
+    return PresentedGroup(order, free, name if free else f"Other({order})")
 
 
 # Rotation system of the Platonic icosahedron: vertex -> neighbors in

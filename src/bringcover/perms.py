@@ -5,7 +5,7 @@ image of each point.  Everything here is immutable and pure; the largest
 group this package ever needs is the symmetric group on 5 points acting
 on itself (order 120), so closure is plain breadth-first multiplication
 with a safety cap and no stabilizer-chain machinery.  Closure builds the
-small groups given by generators (S_n, presentation witnesses); an
+small groups given by generators (S_n, presentation witnesses); a whole
 automorphism group of a dessin is read off a table of words in
 ``dessins.automorphism_group``, which closes the few generators it picks
 from it once, only to prove that they form a group.
@@ -16,12 +16,18 @@ p . q.  Below degree 2 itemgetter would return a bare int or fail, so
 those degrees take their own branch.  ``regular_representation`` applies
 the same idiom to all the elements of a group at once.
 
-A5 and S5 are named by presentation witnesses: a pair of generators that
-satisfies the presentation's relators and generates the whole group.  A
-pair conjugate to a witness is a witness too, so the search tries one
-first generator per conjugacy class and skips the others.  The generators'
-orders are the primes 2 and 5, so a candidate is tested by g != e and
-g^p = e in itemgetter compositions, without a cycle decomposition.
+A5 and S5 are presented by ``_PRESENTATIONS``, the one relator table,
+and :func:`presents` tests a pair against it: the generators' orders are
+the primes 2 and 5, so each is tested by g != e and g^p = e in itemgetter
+compositions, without a cycle decomposition, and then every relator.  A
+pair that passes generates a quotient of the presented group.  Two ways
+name a group by it.  ``dessins.presented_automorphisms`` proves a
+dessin's automorphism group from one given pair and an orbit count,
+with no closure.  :func:`identify_closure` names a whole listed group by
+searching it for a witness, a pair that passes and generates the whole
+group; a pair conjugate to a witness is a witness too, so the search
+tries one first generator per conjugacy class and skips the others.  The
+checks name only the 5-point monodromy group that way.
 """
 
 from __future__ import annotations
@@ -246,8 +252,10 @@ def _has_prime_order(g: Perm, p: int, e: Perm) -> bool:
     return h == e
 
 
-# name -> (group order, generator orders, relators in the generators x, y);
-# the generator orders are prime, so _has_prime_order tests them
+# name -> (group order, generator orders, relators in the generators x, y):
+# the one relator table, which presents() reads.  The order is that of the
+# presented group (the (2, 3, 5) triangle group is A5; Coxeter-Moser 1957
+# for S5); the generator orders are prime, so _has_prime_order tests them
 _PRESENTATIONS = {
     # <x, y | x^5, y^2, (xy)^3>
     "A5": (60, (5, 2), (lambda x, y: _power(compose(x, y), 3),)),
@@ -257,9 +265,33 @@ _PRESENTATIONS = {
 }
 
 
-def _witness(group: GroupClosure, orders, relators) -> bool:
-    """Presentation witness: generators x, y of the given orders whose
-    relators are all trivial and which generate the whole group.
+def presents(name: str, x: Perm, y: Perm) -> bool:
+    """Whether x and y satisfy the presentation ``name`` (``"A5"`` or
+    ``"S5"``): each has its generator's prime order and every relator is
+    trivial.  The group they generate is then a quotient of the presented
+    group, so its order is at most :func:`presentation_order`."""
+    _, (p, q), relators = _presentation(name)
+    e = identity(len(x))
+    return (_has_prime_order(x, p, e) and _has_prime_order(y, q, e)
+            and all(rel(x, y) == e for rel in relators))
+
+
+def presentation_order(name: str) -> int:
+    """The order of the group the presentation ``name`` defines."""
+    return _presentation(name)[0]
+
+
+def _presentation(name: str) -> tuple:
+    try:
+        return _PRESENTATIONS[name]
+    except KeyError:
+        raise ValueError(f"unknown presentation {name!r}; choose from "
+                         f"{sorted(_PRESENTATIONS)}") from None
+
+
+def _witness(group: GroupClosure, name: str) -> bool:
+    """Presentation witness: generators x, y that satisfy the presentation
+    ``name`` (:func:`presents`) and generate the whole group.
 
     The group is then a quotient of the presented group; when both have
     the same order they are isomorphic.  Conjugating a witness pair by
@@ -268,13 +300,13 @@ def _witness(group: GroupClosure, orders, relators) -> bool:
     """
     e = identity(len(group.elements[0]))
     xs, ys = ([g for g in group.elements if _has_prime_order(g, p, e)]
-              for p in orders)
+              for p in _PRESENTATIONS[name][1])
     tried = set()
     for x in xs:
         if x in tried:
             continue
         for y in ys:
-            if all(rel(x, y) == e for rel in relators) and \
+            if presents(name, x, y) and \
                     closure([x, y], cap=group.order + 1).order == group.order:
                 return True
         tried.update(compose(compose(g, x), inverse(g))
@@ -285,8 +317,8 @@ def _witness(group: GroupClosure, orders, relators) -> bool:
 def identify_closure(grp: GroupClosure) -> str:
     if grp.cap_exceeded:
         raise ValueError("closure cap exceeded; cannot classify")
-    for name, (size, orders, relators) in _PRESENTATIONS.items():
-        if grp.order == size and _witness(grp, orders, relators):
+    for name, (size, _, _) in _PRESENTATIONS.items():
+        if grp.order == size and _witness(grp, name):
             return name
     return f"Other({grp.order})"
 

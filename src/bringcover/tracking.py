@@ -124,6 +124,7 @@ class TrackingConfig(namedtuple("TrackingConfig", (
             spec = loop_spec(self, puncture)
             loop_entry(spec)
             loop_entry(spec._replace(steps=DEFAULT_STEPS))
+        _check_far_circle(radius_inf, tol_residual)
         return self
 
     @classmethod
@@ -144,6 +145,34 @@ class TrackingConfig(namedtuple("TrackingConfig", (
         if self.steps >= DEFAULT_STEPS:
             budget = max(budget, waypoints + _MIN_HALVINGS)
         return budget
+
+
+def _check_far_circle(radius: float, tol_residual: float) -> None:
+    """Refuse an infinity circle on which Newton's test cannot tell apart
+    the two roots that meet at the double root of x^5 + x + b.
+
+    x^5 + x + b has a double root x* exactly where b^4 = -C, with C =
+    BRANCH_SCALE.  On the circle |t| = R, b^4 + C = C/t, so near t = -R
+    the branch passes b* = (-C)^(1/4) at the distance
+    delta = C^(1/4) ((1 + 1/R)^(1/4) - 1), about C^(1/4) / (4R), with
+    |b| = C^(1/4) + delta there; the vertices of the circle's polygon
+    come as near up to a factor 1 + O(1/R) at any steps, so the one bound
+    serves the tracked resolution and DEFAULT_STEPS alike.  At x* the
+    polynomial is f = b - b*, of modulus delta.  Once delta is within the
+    residual that Newton accepts, tol_residual (1 + |b|), or within the
+    float resolution of f (4 ulps of 1 + |b|), x* passes for either of
+    the two roots and the loop may close on the wrong permutation: at the
+    default tol_residual, from R of about 8.7e8 up.
+    """
+    c4 = BRANCH_SCALE ** 0.25
+    delta = c4 * math.expm1(math.log1p(1 / radius) / 4)
+    floor = max(tol_residual, 4 * math.ulp(1.0)) * (1 + c4 + delta)
+    if delta <= floor:
+        raise ValueError(
+            f"the infinity loop of radius_inf {radius!r} passes within "
+            f"{delta:.3g} of a double root, inside the residual floor "
+            f"{floor:.3g} of tol_residual {tol_residual!r}: the two roots "
+            "that meet there cannot be told apart")
 
 
 class LoopSpec(namedtuple("LoopSpec", (

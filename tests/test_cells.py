@@ -650,3 +650,17 @@ def test_enumerate_dedupes_the_index_by_identity(fresh_index, n):
         first = enumerate_cells(n, k)
         assert first == sorted(set(cellmod._index(n, k).values()))
         assert enumerate_cells(n, k) == first
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_blockers_are_the_chord_and_the_chords_it_crosses(n):
+    # two chords cross iff exactly one end of one lies strictly inside the
+    # other's arc
+    chords = [c for (c,) in cellmod._admissible_chord_sets(n, 1)]
+    table = cellmod._blockers(n)
+    assert list(table) == chords
+    for a, b in chords:
+        assert table[a, b] == {(c, d) for c, d in chords
+                               if (c, d) == (a, b)
+                               or (a < c < b) != (a < d < b)
+                               and len({a, b, c, d}) == 4}

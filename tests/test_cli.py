@@ -347,6 +347,30 @@ def test_huge_radius_inf_exits_2(capsys, command):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [["verify-all"], ["monodromy"]])
+@pytest.mark.parametrize("radius", ["1e9", "1e30", "1e150"])
+def test_radius_inf_inside_the_double_root_floor_exits_2(capsys, command,
+                                                         radius):
+    # the infinity loop would close on the identity, not on (0 2)
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--radius-inf", radius])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "double root" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_radius_inf_1e8_passes(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    assert main(["monodromy", "--radius-inf", "1e8", "--json",
+                 str(path)]) == 0
+    report = json.loads(path.read_text())
+    assert report["status"] == "pass"
+    assert report["config"]["radius_inf"] == 1e8
+    capsys.readouterr()
+
+
 def _config_values(argv):
     """The TrackingConfig keywords the CLI reads from ``argv``."""
     args = build_parser().parse_args(["monodromy", *argv])

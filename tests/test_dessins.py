@@ -461,3 +461,115 @@ def test_isomorphic_is_first_reference_map_on_random_relabelings():
     check()
     # both cases occur: chiral dessins are not isomorphic to their mirror
     assert found == {True, False}
+
+
+# The pair each dessins row proves its group from: darts that the row's own
+# rotations reach from dart 0, and the presentation they must satisfy.
+ROW_PAIRS = {
+    "icosahedron": lambda d: ("A5", d.sigma0[0], d.sigma1[0]),
+    "i4": lambda d: ("A5", d.sigma0[d.sigma0[0]], d.sigma1[0]),
+    "union": lambda d: ("S5", d.sigma_inf[0], d.sigma0[0]),
+    "J": lambda d: ("S5", d.sigma1[0], d.sigma_inf[0]),
+    "D": lambda d: ("S5", d.sigma1[0], d.sigma_inf[0]),
+}
+
+
+@pytest.fixture(scope="module")
+def row_dessins(named_dessins):
+    return {**named_dessins, "J": verify.Context().dessin_j}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_PAIRS))
+def test_presented_automorphisms_match_the_oracles(row_dessins, name):
+    d = row_dessins[name]
+    got = dessins.presented_automorphisms(d, *ROW_PAIRS[name](d))
+    grp = automorphism_group(d)
+    assert got == (grp.order, acts_freely(d, grp), identify_closure(grp))
+    assert got.order == d.n_darts
+
+
+def _relators_hold(a, b):
+    """((ab)^4 = e, [a,b]^3 = e), read from the element orders rather than
+    from the relator table."""
+    comm = compose(compose(inverse(a), inverse(b)), compose(a, b))
+    return 4 % order(compose(a, b)) == 0, 3 % order(comm) == 0
+
+
+def _column(d, t):
+    return next(h for h in dessins._maps(d, d) if h[0] == t)
+
+
+@pytest.mark.parametrize("dessin, pair, relators", [
+    # the orders are 5 and 4, not 2 and 5
+    ("union", lambda d: ("S5", d.sigma0[0], d.sigma1[0]), None),
+    # orders 2 and 5; (ab)^4 fails, [a,b]^3 holds
+    ("union", lambda d: ("S5", d.sigma1[d.sigma1[0]], d.sigma0[0]),
+     (False, True)),
+    # orders 2 and 5; (ab)^4 holds, [a,b]^3 fails
+    ("union", lambda d: ("S5", 1, 12), (True, False)),
+    # I4's pair on the icosahedron: orders 5 and 2, (xy)^3 fails
+    ("icosahedron", lambda d: ("A5", d.sigma0[d.sigma0[0]], d.sigma1[0]),
+     None),
+], ids=["union-orders", "union-ab4", "union-commutator3", "icosahedron"])
+def test_presented_automorphisms_reject_a_pair_outside_the_presentation(
+        named_dessins, dessin, pair, relators):
+    d = named_dessins[dessin]
+    name, x, y = pair(d)
+    if relators is not None:
+        a, b = _column(d, x), _column(d, y)
+        assert (order(a), order(b)) == (2, 5)
+        assert _relators_hold(a, b) == relators
+    with pytest.raises(ValueError, match=f"not satisfy the {name} "):
+        dessins.presented_automorphisms(d, name, x, y)
+
+
+def test_presented_automorphisms_reject_a_column_that_is_not_one(
+        named_dessins):
+    sub = named_dessins["union"].subdivide()
+    with pytest.raises(ValueError, match="to dart 120$"):
+        dessins.presented_automorphisms(sub, "S5", 120, sub.sigma0[0])
+    # column 1 of this triangle commutes with sigma0 but not with sigma1
+    tri = Dessin((1, 2, 0), (0, 2, 1))
+    h = tuple(w[1] for w in dessins._word_table(tri, tri))
+    assert compose(h, tri.sigma0) == compose(tri.sigma0, h)
+    assert compose(h, tri.sigma1) != compose(tri.sigma1, h)
+    with pytest.raises(ValueError, match="to dart 1$"):
+        dessins.presented_automorphisms(tri, "A5", 1, 1)
+
+
+def test_presented_automorphisms_reject_a_short_orbit(named_dessins):
+    # the union's own pair, on its subdivision: two automorphisms that
+    # satisfy the presentation, but reach only the 120 old darts of 240
+    u = named_dessins["union"]
+    sub = u.subdivide()
+    x, y = u.sigma_inf[0], u.sigma0[0]
+    assert perms.presents("S5", _column(sub, x), _column(sub, y))
+    with pytest.raises(ValueError, match="reach 120 of 240 darts"):
+        dessins.presented_automorphisms(sub, "S5", x, y)
+    assert automorphism_group(sub).order == 120
+
+
+def test_presented_automorphisms_name_only_the_order_reached(
+        monkeypatch, named_dessins):
+    # a presentation whose stated order the orbit does not reach names no
+    # group: the orbit, not the table, makes the bound exact
+    ico = named_dessins["icosahedron"]
+    pair = ROW_PAIRS["icosahedron"](ico)
+    assert dessins.presented_automorphisms(ico, *pair) == (60, True, "A5")
+    _, orders, relators = perms._PRESENTATIONS["A5"]
+    monkeypatch.setitem(perms._PRESENTATIONS, "A5", (120, orders, relators))
+    assert dessins.presented_automorphisms(ico, *pair) == \
+        (60, False, "Other(60)")
+
+
+def test_presented_automorphisms_reject_bad_input(named_dessins):
+    ico = named_dessins["icosahedron"]
+    with pytest.raises(ValueError, match="connected"):
+        dessins.presented_automorphisms(Dessin(identity(2), identity(2)),
+                                        "A5", 0, 1)
+    with pytest.raises(ValueError, match="not one of 60 darts"):
+        dessins.presented_automorphisms(ico, "A5", 60, 1)
+    with pytest.raises(ValueError, match="not one of 60 darts"):
+        dessins.presented_automorphisms(ico, "A5", 4, -1)
+    with pytest.raises(ValueError, match="unknown presentation"):
+        dessins.presented_automorphisms(ico, "A6", 4, 1)

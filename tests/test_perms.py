@@ -357,3 +357,57 @@ def test_identify_takes_no_cycle_decomposition(monkeypatch, named_groups):
     monkeypatch.setattr(perms, "cycles", counting_cycles)
     assert identify_closure(named_groups["union"][0]) == "S5"
     assert calls == 0
+
+
+def test_presents_the_coxeter_moser_pair():
+    # (0 1) and (0 1 2 3 4): (ab) is a 4-cycle, [a,b] a 3-cycle
+    assert perms.presents("S5", T5, C5)
+    assert closure([T5, C5]).order == perms.presentation_order("S5") == 120
+    assert not perms.presents("S5", C5, T5)  # orders 5, 2: swapped
+
+
+@pytest.mark.parametrize("a, orders", [
+    # (ab)^4 = e holds, [a,b]^3 = e fails
+    (from_cycles(5, [(1, 4), (2, 3)]), (2, 5)),
+    # (ab)^4 = e fails, [a,b]^3 = e holds
+    (from_cycles(5, [(1, 3), (2, 4)]), (5, 3)),
+])
+def test_presents_needs_each_s5_relator(a, orders):
+    comm = compose(compose(inverse(a), inverse(C5)), compose(a, C5))
+    assert (order(compose(a, C5)), order(comm)) == orders
+    assert not perms.presents("S5", a, C5)
+
+
+def test_presents_the_a5_pair():
+    y = from_cycles(5, [(0, 1), (2, 3)])
+    assert order(compose(C5, y)) == 3
+    assert perms.presents("A5", C5, y)
+    assert closure([C5, y]).order == perms.presentation_order("A5") == 60
+    # C5 times (0 2)(1 3) has order 5, not 3
+    v = from_cycles(5, [(0, 2), (1, 3)])
+    assert order(compose(C5, v)) == 5
+    assert not perms.presents("A5", C5, v)
+    assert not perms.presents("A5", C5, identity(5))
+
+
+def test_presents_rejects_an_unknown_name():
+    for call in (lambda: perms.presents("A6", C5, T5),
+                 lambda: perms.presentation_order("A6")):
+        with pytest.raises(ValueError, match="unknown presentation"):
+            call()
+
+
+def test_identify_tests_pairs_through_presents(monkeypatch):
+    # one relator table: the witness search reads it through presents
+    seen = []
+    real = perms.presents
+
+    def recording(name, x, y):
+        seen.append(name)
+        return real(name, x, y)
+
+    monkeypatch.setattr(perms, "presents", recording)
+    assert identify_closure(closure([C5, from_cycles(5, [(0, 1, 2)])])) \
+        == "A5"
+    assert identify_closure(closure([C5, T5])) == "S5"
+    assert set(seen) == {"A5", "S5"}

@@ -686,3 +686,39 @@ def test_loop_start_branch_picks_the_base_roots():
     for b, xs in ((b0, xs0), (b2, xs2)):
         assert xs == roots5(1.0, b, tol=CFG.tol_residual)
 
+
+
+@pytest.mark.parametrize("steps", [DEFAULT_STEPS, 1024])
+@pytest.mark.parametrize("radius", [8.8e8, 1e9, 1e30, 1e150])
+def test_far_circle_past_the_double_root_floor_is_a_value_error(steps,
+                                                                 radius):
+    # |b^4 + C| = C/R on the circle, so near t = -R the branch passes the
+    # double-root value b* within about C^(1/4) / (4R), where f(x*) is that
+    # small: below tol_residual (1 + |b|) Newton accepts x* for either
+    # root, from R of about 8.7e8 at the default tolerance
+    with pytest.raises(ValueError, match="double root"):
+        TrackingConfig(radius_inf=radius, steps=steps)
+
+
+def test_far_circle_floor_follows_the_derivation():
+    c4 = BRANCH_SCALE ** 0.25
+    limit = c4 / (4 * 1e-10 * (1 + c4))
+    assert 8.7e8 < limit < 8.72e8
+    TrackingConfig(radius_inf=0.99 * limit)
+    with pytest.raises(ValueError, match="double root"):
+        TrackingConfig(radius_inf=1.01 * limit)
+    # a finer residual moves the floor out, down to the float resolution
+    TrackingConfig(radius_inf=1e12, tol_residual=1e-14)
+    with pytest.raises(ValueError, match="double root"):
+        TrackingConfig(radius_inf=1e15, tol_residual=1e-20)
+    # and a coarse one closes in on the default circle
+    with pytest.raises(ValueError, match="tol_residual 0.02"):
+        TrackingConfig(tol_residual=0.02)
+
+
+def test_radius_1e8_tracks_the_default_permutations():
+    cfg = TrackingConfig(radius_inf=1e8)
+    assert cfg.radius_inf == 1e8
+    far, default = monodromy_triple(cfg), monodromy_triple(TrackingConfig())
+    assert (far.pi0, far.pi1, far.pi_inf) == \
+        (default.pi0, default.pi1, default.pi_inf)

@@ -1,10 +1,11 @@
 """The check registry: each check's declaration decides its verdict."""
 
 import dataclasses
+import sys
 
 import pytest
 
-from bringcover import quintic, tracking, verify
+from bringcover import dessins, perms, quintic, tracking, verify
 
 EQUALITY_CHECKS = [c for c in verify.CHECKS if c.verdict is None]
 
@@ -108,3 +109,26 @@ def test_a_failed_build_is_built_once():
         raised.append(info.value)
     assert len(calls) == 1
     assert raised[0] is raised[1] is raised[2]
+
+
+def test_dessins_rows_take_no_whole_group_path(monkeypatch):
+    # the group rows prove their groups from a presentation pair, so no
+    # row may fall back to the whole group, its free action or the
+    # witness search, at any binding of them in the package
+    def refuse(*args, **kwargs):
+        raise AssertionError("whole-group path taken")
+
+    patched = set()
+    for original in (dessins.automorphism_group, dessins.acts_freely,
+                     perms.identify_closure):
+        for name, module in list(sys.modules.items()):
+            if name == "bringcover" or name.startswith("bringcover."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, refuse)
+                        patched.add(f"{name}.{attr}")
+    assert "bringcover.verify.identify_closure" in patched
+    report = verify.run_checks(only="dessins")
+    assert {r["name"]: r["status"] for r in report["checks"]
+            if r["status"] not in ("pass", "info")} == {}
+    assert len(report["checks"]) == 12
