@@ -15,37 +15,49 @@ extras from the same objects, and ``export`` builds only its target.  A
 layer is imported where a command first needs it, so an export of D, I4,
 the union or J loads neither the check registry nor ``dataclasses``.
 
+Each command's flags are declared once, in :data:`COMMANDS`.  A canonical
+command line, ``COMMAND --flag VALUE ...``, is parsed from that table
+directly; argparse is imported only for any other line (help,
+``--version``, a usage error), and gives the same namespace, help text
+and messages.
+
 Exit codes: 0 all gated checks pass, 1 some check failed (or, for
 ``export``, the tracked monodromy its target needs could not be built), 2
 usage or I/O error.
 
 :func:`run` is the process entry (``python -m bringcover.cli`` and the
-``bringcover`` script); :func:`main` returns the exit code and leaves
-the interpreter's state alone, so it can be called in process.
+``bringcover`` script): it flushes the standard streams after
+:func:`main` returns and ends the process with ``os._exit``, skipping
+interpreter teardown.  :func:`main` returns the exit code and leaves the
+interpreter's state alone, so it can be called in process.
 """
 
 from __future__ import annotations
 
-import argparse
-import gc
+import os
 import sys
+import types
 
 from . import __version__
 from .context import Context
 from .tracking import DEFAULT_STEPS, TrackingConfig, TrackingError
 
-# TrackingConfig field -> (type, help) of its flag, --base-t for base_t
+# TrackingConfig field -> add_argument keywords of its flag, --base-t for
+# base_t
 _TRACKING_FLAGS = {
-    "steps": (int, f"waypoints per loop circle (default {DEFAULT_STEPS})"),
-    "seed": (int, "seed of the samples at which the printed expression's "
-                  "deviation is evaluated (the identities are exact)"),
-    "base_t": (float, "real base point between 0 and 1 (default 0.5)"),
-    "radius0": (float, None),
-    "radius1": (float, None),
-    "radius_inf": (float, None),
-    "tol_residual": (float, None),
-    "tol_match_ratio": (float, None),
-    "tol_lambda": (float, None),
+    "steps": {"type": int,
+              "help": f"waypoints per loop circle (default {DEFAULT_STEPS})"},
+    "seed": {"type": int,
+             "help": "seed of the samples at which the printed expression's "
+                     "deviation is evaluated (the identities are exact)"},
+    "base_t": {"type": float,
+               "help": "real base point between 0 and 1 (default 0.5)"},
+    "radius0": {"type": float},
+    "radius1": {"type": float},
+    "radius_inf": {"type": float},
+    "tol_residual": {"type": float},
+    "tol_match_ratio": {"type": float},
+    "tol_lambda": {"type": float},
 }
 
 # the modules --only accepts, verify.MODULES written out so that building
@@ -56,11 +68,32 @@ ONLY_MODULES = ("cells", "cover", "dessins", "monodromy", "perms")
 EXPORT_TARGETS = {"D": "dessin_d", "I4": "i4", "union": "union",
                   "J": "dessin_j", "sheet": "sheet"}
 
+_JSON_FLAG = {"json": {"metavar": "PATH"}}
+_REPORT_FLAGS = {**_JSON_FLAG, **_TRACKING_FLAGS}
 
-def _add_tracking_flags(p):
-    for name, (kind, help_text) in _TRACKING_FLAGS.items():
-        p.add_argument("--" + name.replace("_", "-"), type=kind,
-                       default=None, help=help_text)
+# subcommand -> (help, {dest: add_argument keywords of its flag}), flags in
+# help order; a flag is its dest written as an option (see _option).  Both
+# parsers read every flag from here.
+COMMANDS = {
+    "cells": ("cell census of the moduli complexes", _REPORT_FLAGS),
+    "cover": ("base surface and orientation double cover", _REPORT_FLAGS),
+    "dessins": ("built dessins, passports, symmetries", _REPORT_FLAGS),
+    "monodromy": ("numerically tracked Belyi monodromy", _REPORT_FLAGS),
+    "verify-all": ("run every check", {
+        **_JSON_FLAG,
+        "only": {"choices": ONLY_MODULES,
+                 "help": "restrict to one module's checks"},
+        **_TRACKING_FLAGS}),
+    "export": ("write a dessin as DOT", {
+        "target": {"required": True, "choices": tuple(EXPORT_TARGETS)},
+        "path": {"required": True},
+        **_TRACKING_FLAGS}),
+}
+
+
+def _option(dest: str) -> str:
+    """The long option of a flag's dest, as argparse derives the dest."""
+    return "--" + dest.replace("_", "-")
 
 
 def _config_from(args) -> TrackingConfig:
@@ -132,20 +165,15 @@ def _monodromy_payload(ctx) -> dict:
         return {"monodromy": {"error": f"{type(exc).__name__}: {exc}"}}
 
 
-# report subcommand -> (help, hook adding its --json extras); each module
-# subcommand runs that module's checks, verify-all runs all of them or --only
-REPORTS = {
-    "cells": ("cell census of the moduli complexes", _cells_payload),
-    "cover": ("base surface and orientation double cover", _cover_payload),
-    "dessins": ("built dessins, passports, symmetries", _dessins_payload),
-    "monodromy": ("numerically tracked Belyi monodromy", _monodromy_payload),
-    "verify-all": ("run every check", None),
-}
+# module subcommand -> hook adding its --json extras; each runs that
+# module's checks, and verify-all runs all of them or --only
+PAYLOADS = {"cells": _cells_payload, "cover": _cover_payload,
+            "dessins": _dessins_payload, "monodromy": _monodromy_payload}
 
 
 def _cmd_report(args) -> int:
     from . import verify
-    payload_hook = REPORTS[args.command][1]
+    payload_hook = PAYLOADS.get(args.command)
     ctx = Context(_config_from(args))
     only = args.only if payload_hook is None else args.command
     report = verify.run_checks(ctx, only=only)
@@ -174,48 +202,85 @@ def _cmd_export(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argparse parser of every command line, with its help and its
+    usage errors (exit code 2)."""
+    import argparse  # loaded only for help, --version and usage errors
     parser = argparse.ArgumentParser(
         prog="bringcover",
         description="verification suite for the genus-4 moduli-cover dessin "
                     "and its Bring-curve Belyi pair")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, (help_text, payload_hook) in REPORTS.items():
+    for name, (help_text, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--json", metavar="PATH", default=None)
-        if payload_hook is None:
-            p.add_argument("--only", choices=ONLY_MODULES, default=None,
-                           help="restrict to one module's checks")
-        _add_tracking_flags(p)
-
-    p = sub.add_parser("export", help="write a dessin as DOT")
-    p.add_argument("--target", required=True, choices=tuple(EXPORT_TARGETS))
-    p.add_argument("--path", required=True)
-    _add_tracking_flags(p)
+        for dest, keywords in flags.items():
+            p.add_argument(_option(dest), default=None, **keywords)
     return parser
 
 
+def _parse_canonical(argv):
+    """The namespace ``build_parser().parse_args(argv)`` returns, for a
+    canonical command line; None for any other.
+
+    Canonical is ``COMMAND --flag VALUE ...``: each flag a long option of
+    COMMAND given once in full, no value starting with ``-``, each value
+    converting to its flag's type and among its choices, and every
+    required flag given.  Help, ``--version``, abbreviations,
+    ``--flag=value``, repeats, negative numbers and usage errors are left
+    to argparse."""
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    flags = COMMANDS[argv[0]][1]
+    dests = {_option(dest): dest for dest in flags}
+    values = dict.fromkeys(flags)
+    given = set()
+    for option, text in zip(argv[1::2], argv[2::2]):
+        dest = dests.get(option)
+        if dest is None or dest in given or text.startswith("-"):
+            return None
+        given.add(dest)
+        keywords = flags[dest]
+        try:
+            value = keywords.get("type", str)(text)
+        except (TypeError, ValueError):
+            return None
+        choices = keywords.get("choices")
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    if any(kw.get("required") and dest not in given
+           for dest, kw in flags.items()):
+        return None
+    return types.SimpleNamespace(command=argv[0], **values)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse_canonical(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     if args.command == "export":
         return _cmd_export(args)
     return _cmd_report(args)
 
 
 def run(argv=None):
-    """Run :func:`main` as a whole process and exit with its code.
+    """Run :func:`main` as a whole process and end it with main's code.
 
-    Every object the run made lives until the process ends, so the
-    collections of interpreter shutdown would only walk them: they are
-    frozen out of the collector's reach first.  Shutdown still flushes
-    and closes the standard streams and files."""
+    Every object the run made lives until the process ends, so interpreter
+    teardown would only walk and free them: once the standard streams are
+    flushed, ``os._exit`` ends the process at once.  If a flush fails,
+    SystemExit hands the process to the interpreter's teardown, which
+    reports the error and picks the exit code as it always has.  An
+    exception out of main propagates as it is."""
+    code = main(argv)
     try:
-        code = main(argv)
-    finally:
-        gc.freeze()
-    raise SystemExit(code)
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:   # the interpreter reports it at teardown
+        raise SystemExit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

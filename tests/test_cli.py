@@ -1,4 +1,5 @@
 import gc
+import importlib.util
 import json
 import os
 import subprocess
@@ -6,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bringcover import cells, cli, cover, monodromy, perms, verify
 from bringcover.cli import _TRACKING_FLAGS, build_parser, main
@@ -389,8 +392,8 @@ def test_bad_tracking_values_fail_the_config(values):
 
 
 def test_main_leaves_the_collector_alone(tmp_path):
-    # only the process entry freezes; main runs in process for tests,
-    # perfbench's tracer and its probe
+    # main runs in process for tests, perfbench's tracer and its probe: it
+    # leaves the collector, like the rest of the process, as it found it
     before = gc.get_freeze_count()
     assert main(["export", "--target", "I4",
                  "--path", str(tmp_path / "i4.dot")]) == 0
@@ -525,3 +528,280 @@ def test_cold_import_loads_only_the_layers_used():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "['bringcover.cells'] False"]
+
+
+# -- the canonical parser and the process entry -----------------------------
+
+def _namespace(args) -> dict:
+    # repr tells 1 from 1.0 and '1', and one nan equals another
+    return {dest: repr(value) for dest, value in vars(args).items()}
+
+
+def _argparse_namespace(argv) -> dict:
+    return _namespace(build_parser().parse_args(argv))
+
+
+def _load_workloads():
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def _perfbench_lines(tmp_path) -> list:
+    workloads = _load_workloads()
+    lines = []
+    for workload in workloads.WORKLOADS:
+        for quick in (False, True):
+            for job in workloads.jobs(workload, tmp_path, 7, quick):
+                if job.entry == "bringcover.cli":
+                    lines.append(list(job.args))
+                elif job.entry == "cli_probe":      # PERMS_OUT CLI_ARG...
+                    lines.append(list(job.args[1:]))
+    return lines
+
+
+README_LINES = [
+    ["verify-all"],
+    ["verify-all", "--json", "report.json", "--only", "monodromy",
+     "--steps", "64"],
+    *(["export", "--target", target, "--path", "out.dot"]
+      for target in cli.EXPORT_TARGETS),
+    *([command, "--json", "out.json"]
+      for command in ("cells", "cover", "dessins", "monodromy")),
+    ["monodromy", "--tol-match-ratio", "8"],
+    ["monodromy", "--radius-inf", "1000"],
+    ["monodromy", "--radius-inf", "1e9"],
+    ["monodromy", "--radius-inf", "1.001", "--steps", "1024"],
+    ["monodromy", "--tol-residual", "0.02"],
+    ["monodromy", "--steps", "4"],
+]
+
+
+def test_readme_and_benchmark_lines_parse_without_argparse(tmp_path):
+    lines = README_LINES + _perfbench_lines(tmp_path)
+    assert any(line[0] == "export" for line in lines)
+    for argv in lines:
+        fast = cli._parse_canonical(argv)
+        assert fast is not None, argv
+        assert _namespace(fast) == _argparse_namespace(argv)
+
+
+def _valid_value(keywords):
+    if "choices" in keywords:
+        return st.sampled_from(keywords["choices"])
+    kind = keywords.get("type")
+    if kind is int:
+        return st.integers(min_value=0, max_value=10**6).map(str)
+    if kind is float:
+        return st.one_of(st.floats(min_value=0).map(repr),
+                         st.sampled_from(["nan", "inf", "1e3", "1E-3",
+                                          " 5", "5 ", "+2", "1_0"]))
+    return st.text(max_size=8).filter(lambda text: not text.startswith("-"))
+
+
+@st.composite
+def _canonical_lines(draw):
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    flags = cli.COMMANDS[command][1]
+    order = draw(st.permutations(list(flags)))
+    required = [d for d in order if flags[d].get("required")]
+    optional = [d for d in order if not flags[d].get("required")]
+    chosen = set(required + optional[:draw(st.integers(0, len(optional)))])
+    argv = [command]
+    for dest in order:
+        if dest in chosen:
+            argv += [cli._option(dest), draw(_valid_value(flags[dest]))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_canonical_lines())
+def test_canonical_lines_parse_as_argparse_parses_them(argv):
+    fast = cli._parse_canonical(argv)
+    assert fast is not None
+    assert _namespace(fast) == _argparse_namespace(argv)
+
+
+ODD_TOKENS = [" 5", "1e3", "nan", "0x10", "", "-", "-0.5", "-3", "1.5",
+              "Z", "cells", "perms", "I4", "--js", "--json=x", "--ste",
+              "--base_t", "--only", "--target", "--path", "-h", "--help",
+              "--version", "--", "stray", "verify-all"]
+
+
+@st.composite
+def _mangled_lines(draw):
+    argv = draw(_canonical_lines())
+    tokens = st.sampled_from(ODD_TOKENS) | st.text(max_size=4)
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["insert", "replace", "value", "repeat",
+                                     "drop"]))
+        at = draw(st.integers(0, len(argv)))
+        if edit == "value" and len(argv) > 2:   # a value, not its flag
+            argv[2 * draw(st.integers(1, (len(argv) - 1) // 2))] = draw(tokens)
+        elif edit == "insert":
+            argv.insert(at, draw(tokens))
+        elif edit == "replace" and at < len(argv):
+            argv[at] = draw(tokens)
+        elif edit == "repeat" and len(argv) > 2:
+            pair = draw(st.integers(0, (len(argv) - 3) // 2))
+            argv += argv[1 + 2 * pair:3 + 2 * pair]
+        elif edit == "drop" and at < len(argv):
+            del argv[at]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mangled_lines())
+def test_any_line_the_fast_parser_takes_parses_the_same(argv):
+    fast = cli._parse_canonical(argv)
+    if fast is not None:
+        assert _namespace(fast) == _argparse_namespace(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["monodromy", "--steps", "32", "--steps", "64"],    # a repeat
+    ["monodromy", "--ste", "32"],                       # an abbreviation
+    ["monodromy", "--steps=32"],
+    ["monodromy", "--base-t", "-0.5"],                  # a negative number
+    ["export", "--target", "I4", "--path", "-"],
+    ["export", "--target", "I4"],                       # --path missing
+    ["verify-all", "--only", "nonsense"],
+    ["verify-all", "--json"],
+    ["verify-all", "stray", "x"],
+    ["cells", "--only", "cells"],                       # not a cells flag
+    ["monodromy", "--steps", "1e3"],
+    ["--version"], ["-h"], ["verify-all", "--help", "x"], [],
+])
+def test_other_lines_are_left_to_argparse(argv):
+    assert cli._parse_canonical(argv) is None
+
+
+# -S: no site hook may preload a module and hide the cost
+@pytest.mark.parametrize("argv", [
+    ["export", "--target", "I4", "--path", os.devnull, "--seed", "3"],
+    ["verify-all"],
+])
+def test_canonical_line_loads_no_argparse(argv):
+    code = ("import sys\n"
+            "from bringcover import cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            "print([m for m in ('argparse', 'gettext', 'locale')"
+            " if m in sys.modules])\n")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+_VERIFY_ALL_USAGE = """\
+usage: bringcover verify-all [-h] [--json PATH]
+                             [--only {cells,cover,dessins,monodromy,perms}]
+                             [--steps STEPS] [--seed SEED] [--base-t BASE_T]
+                             [--radius0 RADIUS0] [--radius1 RADIUS1]
+                             [--radius-inf RADIUS_INF]
+                             [--tol-residual TOL_RESIDUAL]
+                             [--tol-match-ratio TOL_MATCH_RATIO]
+                             [--tol-lambda TOL_LAMBDA]
+"""
+_EXPORT_USAGE = """\
+usage: bringcover export [-h] --target {D,I4,union,J,sheet} --path PATH
+                         [--steps STEPS] [--seed SEED] [--base-t BASE_T]
+                         [--radius0 RADIUS0] [--radius1 RADIUS1]
+                         [--radius-inf RADIUS_INF]
+                         [--tol-residual TOL_RESIDUAL]
+                         [--tol-match-ratio TOL_MATCH_RATIO]
+                         [--tol-lambda TOL_LAMBDA]
+"""
+# (exit code, stdout, stderr) of each line, as the argparse-only parser
+# printed them at 80 columns (Python 3.11's argparse)
+ARGPARSE_OUTPUTS = {
+    "--help": (0, """\
+usage: bringcover [-h] [--version]
+                  {cells,cover,dessins,monodromy,verify-all,export} ...
+
+verification suite for the genus-4 moduli-cover dessin and its Bring-curve
+Belyi pair
+
+positional arguments:
+  {cells,cover,dessins,monodromy,verify-all,export}
+    cells               cell census of the moduli complexes
+    cover               base surface and orientation double cover
+    dessins             built dessins, passports, symmetries
+    monodromy           numerically tracked Belyi monodromy
+    verify-all          run every check
+    export              write a dessin as DOT
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+""", ""),
+    "--version": (0, "0.1.0\n", ""),
+    "verify-all --only nonsense": (2, "", _VERIFY_ALL_USAGE + (
+        "bringcover verify-all: error: argument --only: invalid choice: "
+        "'nonsense' (choose from 'cells', 'cover', 'dessins', 'monodromy', "
+        "'perms')\n")),
+    "export --target Z": (2, "", _EXPORT_USAGE + (
+        "bringcover export: error: argument --target: invalid choice: 'Z' "
+        "(choose from 'D', 'I4', 'union', 'J', 'sheet')\n")),
+}
+
+
+@pytest.mark.parametrize("line", list(ARGPARSE_OUTPUTS))
+def test_help_version_and_usage_errors_print_as_before(line):
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "bringcover.cli", *line.split()],
+        capture_output=True, text=True,
+        env={**os.environ, "COLUMNS": "80",
+             "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    assert (proc.returncode, proc.stdout, proc.stderr) \
+        == ARGPARSE_OUTPUTS[line]
+
+
+def _buffered_env() -> dict:
+    # a block-buffered stdout, which only the entry's flush writes out
+    return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def test_piped_verify_all_prints_every_row():
+    proc = subprocess.run(
+        [sys.executable, "-m", "bringcover.cli", "verify-all"],
+        capture_output=True, text=True, env=_buffered_env())
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == f"bringcover {cli.__version__}"
+    assert len(lines) == 31
+    assert all(line.startswith("[") for line in lines[1:30])
+    assert lines[30] == "PASS: 27 passed, 0 failed, 2 informational"
+
+
+@pytest.mark.parametrize("buffered, code, err_tail", [
+    # a buffered stdout fails at the last flush: the interpreter reports it
+    (True, 120, "Exception ignored in: <_io.TextIOWrapper name='<stdout>' "
+                "mode='w' encoding='utf-8'>\n"
+                "BrokenPipeError: [Errno 32] Broken pipe\n"),
+    # an unbuffered one fails in the first print, out of main
+    (False, 1, "    print(f\"wrote {args.target} to {args.path}\")\n"
+               "BrokenPipeError: [Errno 32] Broken pipe\n"),
+], ids=["buffered", "unbuffered"])
+def test_closed_stdout_pipe_reports_as_before(buffered, code, err_tail):
+    env = _buffered_env() if buffered else {**os.environ,
+                                            "PYTHONUNBUFFERED": "1"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bringcover.cli", "export", "--target",
+             "I4", "--path", os.devnull],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == code
+    assert proc.stderr.endswith(err_tail)
+    assert proc.stderr.count("BrokenPipeError") == 1    # reported once

@@ -184,15 +184,26 @@ def test_cold_forking_run_prints_each_line_once(entry):
     (["--radius-inf", "1.001"], 2),
 ])
 def test_cold_runs_leave_no_child(flags, code):
+    # the entry ends a run that returns by os._exit, where no finally runs,
+    # so the probe also runs in a wrapper over os._exit; the forked children
+    # call it too, and only this process probes
     script = ("import os, sys\n"
               "from bringcover import cli\n"
-              "try:\n"
-              "    cli.run(sys.argv[1:])\n"
-              "finally:\n"
+              "def probe():\n"
               "    try:\n"
               "        os.waitpid(-1, os.WNOHANG)\n"
               "    except ChildProcessError:\n"
-              "        print('no child')\n")
+              "        print('no child', flush=True)\n"
+              "entry, exit_now = os.getpid(), os._exit\n"
+              "def probing_exit(code):\n"
+              "    if os.getpid() == entry:\n"
+              "        probe()\n"
+              "    exit_now(code)\n"
+              "os._exit = probing_exit\n"
+              "try:\n"
+              "    cli.run(sys.argv[1:])\n"
+              "finally:\n"
+              "    probe()\n")
     proc = subprocess.run(
         [sys.executable, "-c", script, "monodromy",
          "--steps", str(FORK_STEPS), *flags],
