@@ -39,11 +39,13 @@ must lie in it, which names the same root there.  Each root may use
 either end.  B plus the next delta must also stay below |beta| / sqrt(2),
 so that the kernel's nearest fourth root is the continued branch.
 
-*Closing the loop.*  At the base point the continued branch is within
-0.7 |beta| of i^k beta, beta = b(t_0), only for the nearest k (the powers
-lie sqrt(2) |beta| apart), and x -> i^-k x maps the final roots onto the
-initial ones.  Root j's rescaled final inclusion disc must lie in the
-initial Rouché disc of root pi(j): that is the certified permutation.
+*Closing the loop.*  The contour is a lasso, the tail out to the circle's
+entry point and the circle back to it; the certified tail names entry
+root i by base root i.  At the entry the continued branch is within
+0.7 |beta| of i^k beta, beta = b(entry), only for the nearest k (the
+powers lie sqrt(2) |beta| apart), and x -> i^-k x maps the final roots
+onto the entry roots.  Root j's rescaled final inclusion disc must lie in
+the entry Rouché disc of root pi(j): that is the certified permutation.
 
 Every bound is computed in floats with a-priori rounding slack.  Each one
 is a sum, product or quotient of nonnegative floats, or one subtraction of
@@ -208,12 +210,12 @@ def segment_margin(t0: complex, old: Discs, t1: complex, new: Discs):
 
 class _Walk:
     """The check :func:`tracking.track_path` runs on each step the kernel
-    accepts: it holds the discs of the base point and of the last
-    waypoint, and the smallest relative Rouché margin so far."""
+    accepts: it holds the discs of the last waypoint and the smallest
+    relative Rouché margin so far."""
 
     def __init__(self, beta, ys):
-        self.base = self.cur = discs(beta, ys)
-        if self.base is None:
+        self.cur = discs(beta, ys)
+        if self.cur is None:
             raise TrackingError("certificate: inclusion discs of the base "
                                 "roots overlap")
         self.margin = math.inf
@@ -228,10 +230,10 @@ class _Walk:
         self.cur = new
         return True
 
-    def permutation(self) -> tuple:
-        """pi with root j's continuation landing on base root pi[j]; the
-        branch must have ended at the nearest power of i times its start."""
-        base, end = self.base, self.cur
+    def permutation(self, base: Discs) -> tuple:
+        """pi with root j's continuation landing on root pi[j] of ``base``,
+        the discs it closes on; its branch must end near i^k times theirs."""
+        end = self.cur
         gap, power = min((abs(p * base.beta - end.beta), k)
                          for k, p in enumerate(_I_POWERS))
         if not (gap + end.delta + base.delta) * _UP \
@@ -245,7 +247,7 @@ class _Walk:
               for y, rho in zip(end.ys, end.rho)]
         if None in pi or len(set(pi)) != 5:
             raise TrackingError("certificate: final roots do not land in "
-                                "distinct base Rouché discs")
+                                "distinct entry Rouché discs")
         return tuple(pi)
 
 
@@ -258,16 +260,20 @@ LoopCertificate = namedtuple("LoopCertificate", (
 
 
 def certify_loop(spec, cfg: TrackingConfig) -> LoopCertificate:
-    """Certify the loop ``spec``: walk its contour with the kernel at
+    """Certify the loop ``spec``: walk its lasso with the kernel at
     :data:`WALK_RATIO`, bisect a segment the certificate rejects up to
     ``cfg.max_depth`` times, with no step budget, and return the proved
-    permutation."""
+    permutation, read where the circle closes, at its entry point."""
     b0, xs0, ts = loop_start(spec, cfg)
+    entry = ts.index(ts[-1])
     walk = _Walk(b0, xs0)
-    *_, steps_used, _ = track_path(ts, b0, xs0, cfg.tol_residual,
-                                   WALK_RATIO, cfg.max_depth, math.inf, walk)
+    *_, steps_used, _, b_entry, xs_entry = track_path(
+        ts, b0, xs0, cfg.tol_residual, WALK_RATIO, cfg.max_depth, math.inf,
+        walk, entry)
     waypoints = len(ts) - 1
-    return LoopCertificate(pi=walk.permutation(), margin=walk.margin,
+    # the entry's discs again: the same floats give the same discs
+    return LoopCertificate(pi=walk.permutation(discs(b_entry, xs_entry)),
+                           margin=walk.margin,
                            waypoints=waypoints,
                            bisections=steps_used - waypoints)
 

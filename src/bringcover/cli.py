@@ -206,14 +206,15 @@ def build_parser():
     """The argparse parser of every command line, with its help and its
     usage errors (exit code 2)."""
     import argparse  # loaded only for help, --version and usage errors
+    # no abbreviations: a prefix such as --js would name a file to write
     parser = argparse.ArgumentParser(
-        prog="bringcover",
+        prog="bringcover", allow_abbrev=False,
         description="verification suite for the genus-4 moduli-cover dessin "
                     "and its Bring-curve Belyi pair")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, flags) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for dest, keywords in flags.items():
             p.add_argument(_option(dest), default=None, **keywords)
     return parser
@@ -270,13 +271,18 @@ def run(argv=None):
 
     Every object the run made lives until the process ends, so interpreter
     teardown would only walk and free them: once the standard streams are
-    flushed, ``os._exit`` ends the process at once.  If a flush fails,
-    SystemExit hands the process to the interpreter's teardown, which
-    reports the error and picks the exit code as it always has.  An
-    exception out of main propagates as it is."""
-    code = main(argv)
+    flushed, ``os._exit`` ends the process at once.  A BrokenPipeError
+    (stdout's reader gone) in a print or the flush is an I/O error: one
+    ``error:`` line, exit code 2.  If the stderr flush fails, SystemExit
+    hands the process to the interpreter's teardown, which reports it.
+    Any other exception out of main propagates as it is."""
     try:
+        code = main(argv)
         sys.stdout.flush()
+    except BrokenPipeError as exc:
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        code = 2
+    try:
         sys.stderr.flush()
     except Exception:   # the interpreter reports it at teardown
         raise SystemExit(code)

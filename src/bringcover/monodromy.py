@@ -7,14 +7,16 @@ representation.  The three loop permutations must have cycle types
 (5), (4) and (2,1,1,1) and generate the full symmetric group.
 
 The contours fix one relation.  Every loop is based at t0 in (0, 1) and
-every circle runs counter-clockwise.  Cut along Re t = t0, which its tail
-climbs and which misses both punctures, the infinity loop is the loop
-around 0 followed by the loop around 1, so its direct track is
-compose(pi1, pi0) at every valid geometry and branch (a branch conjugates
-all three by one relabeling of the roots).  That track is a transposition,
-its own inverse, so it is also the pi_inf of the constellation's product
-relation pi_inf . pi1 . pi0 = 1 (Lando and Zvonkin 2004), and
-:func:`monodromy_triple` requires exactly that.
+every circle runs counter-clockwise.  Each loop is tracked as a lasso,
+tail out and circle, and its permutation read where the circle closes,
+in the base labels the tail carried out (:mod:`tracking`).  Cut along
+Re t = t0, which its tail climbs and which misses both punctures, the
+infinity loop is the loop around 0 followed by the loop around 1, so its
+direct track is compose(pi1, pi0) at every valid geometry and branch (a
+branch conjugates all three by one relabeling of the roots).  That track
+is a transposition, its own inverse, so it is also the pi_inf of the
+constellation's product relation pi_inf . pi1 . pi0 = 1 (Lando and
+Zvonkin 2004), and :func:`monodromy_triple` requires exactly that.
 
 The three loops are independent continuations.  From ``FORK_STEPS``
 steps per circle on, where a loop takes longer than a fork and join, and

@@ -3,11 +3,14 @@
 The value plane has punctures 0, 1 and infinity.  Loops are based at a
 real point between 0 and 1: the finite loops walk along the real axis to
 a small circle around their puncture, the infinity loop climbs straight
-up to a large circle, and every circle runs counter-clockwise.  Tracking
-continues the coefficient branch and the five quintic roots along the
-polyline; at the end the roots are rescaled by the exact fourth root of
-unity that returns the coefficient to its base value, and matched to the
-initial roots, which is the loop's permutation.
+up to a large circle, and every circle runs counter-clockwise.  Each
+loop is a lasso, the tail out to the circle's entry point and the circle
+back to it: a loop T C T^-1 permutes the roots as C does in the labels
+carried along T.  Tracking continues the coefficient branch and the five
+quintic roots along the polyline; where the circle closes the roots are
+rescaled by the exact fourth root of unity that returns the coefficient
+to its value at the entry, and matched to the roots tracked there, which
+is the loop's permutation.
 
 The continuation loop (:func:`track_path`) is the package's one tracking
 kernel, in plain Python: it continues the fourth-root branch b(t) of
@@ -19,25 +22,14 @@ is halved.  :func:`track_loop` is the one loop-level entry; :mod:`certify`
 starts at :func:`loop_start` and walks the kernel itself, with a check
 that fails every step its Rouché tests do not prove.
 
-Each step is a predictor-corrector step.  The roots are holomorphic in b,
-so the secant through the last two committed points, c_i + rho (c_i -
-p_i) with rho = (b_new - b_cur) / (b_cur - b_prev), predicts each new
-root to first order, and Newton corrects it, at fine resolutions in one
-update.  Newton evaluates the polynomial once per iterate: the value that
-passes the convergence test, divided by 1 + |b|, is the reported
-residual, the same bits as x*x*x*x*x + x + b evaluated afresh at the
-root.  The prediction moves only Newton's start: the ratio test still
-measures each new root from its old root c_i, not from its prediction.
-
-The separation s of the new roots, which the diagnostics need anyway,
-decides that test whenever every root moved at most s / (2 (ratio + 1)):
-the distance from an old root c_i to another new root y_j is at least
-s - |y_i - c_i|, which is then at least ratio * |y_i - c_i|.  The 20
-cross distances are computed only for a step the bound does not decide.
+Each step is a predictor-corrector step, its Newton started from a
+secant prediction and its ratio test mostly decided by the separation of
+the new roots: see :func:`_try_step`.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import namedtuple
 from functools import lru_cache
@@ -46,7 +38,7 @@ from .quintic import BRANCH_SCALE, b_from_t, roots5
 
 _I_TURNS = (1j, -1 - 0j, -1j)         # the fourth roots of unity but 1
 _NEWTON_CAP = 60
-_NEWTON_ITERS = range(_NEWTON_CAP)    # reused: no range() per root
+_NEWTON_ITERS = range(_NEWTON_CAP - 1)  # after the first; no range() per root
 # the halvings a loop may always spend at the default resolution or finer:
 # what budget_factor allowed at the former default of 1024 steps
 _MIN_HALVINGS = 64
@@ -239,7 +231,8 @@ def loop_entry(spec: LoopSpec) -> tuple:
 
 
 def contour(spec: LoopSpec) -> list:
-    """Waypoints of the loop: tail out, full circle, tail back.
+    """Waypoints of the loop as a lasso: the tail out to ``entry``, then
+    the full circle, whose last waypoint is ``entry`` itself, bit for bit.
 
     A finite loop's tail is evenly spaced.  The infinity loop's tail runs
     from the base point out to |t| = radius_inf, and b(t) changes on the
@@ -249,22 +242,23 @@ def contour(spec: LoopSpec) -> list:
     """
     t0 = complex(spec.base_t)
     center, entry = loop_entry(spec)
-    n_tail = max(8, spec.steps // 8)
+    steps = spec.steps
+    n_tail = max(8, steps // 8)
     if spec.puncture == "inf":
         q = abs(entry - t0) / min(abs(t0), abs(1 - t0))
-        tail = [t0 + (entry - t0) * (((1 + q) ** (k / n_tail) - 1) / q)
-                for k in range(n_tail + 1)]
+        ts = [t0 + (entry - t0) * (((1 + q) ** (k / n_tail) - 1) / q)
+              for k in range(n_tail)]
     else:
-        tail = [t0 + (entry - t0) * k / n_tail for k in range(n_tail + 1)]
+        ts = [t0 + (entry - t0) * k / n_tail for k in range(n_tail)]
+    ts.append(entry)
 
     offset = entry - center
     theta0 = math.atan2(offset.imag, offset.real)
     radius = abs(offset)
-    angles = (theta0 + 2 * math.pi * k / spec.steps
-              for k in range(1, spec.steps + 1))
-    circle = [center + radius * complex(math.cos(a), math.sin(a))
-              for a in angles]
-    return tail + circle + tail[-2::-1]
+    ts.extend(center + cmath.rect(radius, theta0 + 2 * math.pi * k / steps)
+              for k in range(1, steps))
+    ts.append(entry)
+    return ts
 
 
 class TrackResult(namedtuple("TrackResult", (
@@ -295,7 +289,10 @@ def _try_step(t_target, b_cur, xs_cur, b_prev, xs_prev, tol, ratio):
     """One predictor-corrector step of the ratio test; returns (b_new,
     xs_new, residual, separation) or None when the step must be halved.
 
-    The branch b moves to the fourth root of w(t) nearest its old value.
+    The branch b moves to the fourth root of w(t) nearest its old value:
+    the principal root times the power of i nearest q = b_cur / principal,
+    picked by quadrant.  The powers lie sqrt(2) apart, so a step that
+    passes |b_new - b_cur| <= 0.4 |b_new| has one nearest by a wide margin.
     ``b_prev`` and ``xs_prev`` are the branch and roots one committed step
     back.  Each root is holomorphic in b, so the secant start
     c_i + rho (c_i - p_i), rho = (b_new - b_cur) / (b_cur - b_prev), is
@@ -323,19 +320,20 @@ def _try_step(t_target, b_cur, xs_cur, b_prev, xs_prev, tol, ratio):
     """
     w = BRANCH_SCALE * (1 - t_target) / t_target
     principal = w ** 0.25
-    b_new = principal
-    best = abs(principal - b_cur)
-    for p in _I_TURNS:
-        cand = principal * p
-        d = abs(cand - b_cur)
-        if d < best:
-            best = d
-            b_new = cand
+    if not principal:               # t_target == 1: no branch to continue
+        return None
+    q = b_cur / principal
+    qr, qi = q.real, q.imag
+    if qr > qi:
+        b_new = principal if qr > -qi else principal * _I_TURNS[2]
+    else:
+        b_new = principal * _I_TURNS[0] if qr > -qi \
+            else principal * _I_TURNS[1]
     b_abs = abs(b_new)
-    if best > 0.4 * b_abs:
+    if abs(b_new - b_cur) > 0.4 * b_abs:
         return None
 
-    # Newton on x^5 + x + b_new from each predicted root; a stalled root halves
+    # Newton from each predicted root, its first evaluation written out
     db = b_cur - b_prev
     rho = (b_new - b_cur) / db if db else 0
     scale = 1.0 + b_abs
@@ -344,15 +342,19 @@ def _try_step(t_target, b_cur, xs_cur, b_prev, xs_prev, tol, ratio):
     residual = 0.0
     for c, p in zip(xs_cur, xs_prev):
         x = c + rho * (c - p)
-        for _ in _NEWTON_ITERS:
-            x4 = x * x * x * x
-            f = x4 * x + x + b_new
-            r = abs(f)
-            if r <= lim:
-                break
-            x = x - f / (5 * x4 + 1)
-        else:
-            return None
+        x4 = x * x * x * x
+        f = x4 * x + x + b_new
+        r = abs(f)
+        if r > lim:
+            for _ in _NEWTON_ITERS:
+                x = x - f / (5 * x4 + 1)
+                x4 = x * x * x * x
+                f = x4 * x + x + b_new
+                r = abs(f)
+                if r <= lim:
+                    break
+            else:
+                return None
         if r > residual:
             residual = r
         xs_new.append(x)
@@ -360,30 +362,34 @@ def _try_step(t_target, b_cur, xs_cur, b_prev, xs_prev, tol, ratio):
 
     y0, y1, y2, y3, y4 = xs_new
     c0, c1, c2, c3, c4 = xs_cur
-    d0 = abs(y0 - c0)
-    d1 = abs(y1 - c1)
-    d2 = abs(y2 - c2)
-    d3 = abs(y3 - c3)
-    d4 = abs(y4 - c4)
-    separation = min(abs(y0 - y1), abs(y0 - y2), abs(y0 - y3), abs(y0 - y4),
-                     abs(y1 - y2), abs(y1 - y3), abs(y1 - y4),
-                     abs(y2 - y3), abs(y2 - y4), abs(y3 - y4))
-    if (ratio + 1) * max(d0, d1, d2, d3, d4) <= 0.5 * separation:
+    # compared in turn: min() and max() of many floats cost more
+    d_max = abs(y0 - c0)
+    for d in (abs(y1 - c1), abs(y2 - c2), abs(y3 - c3), abs(y4 - c4)):
+        if d > d_max:
+            d_max = d
+    separation = abs(y0 - y1)
+    for s in (abs(y0 - y2), abs(y0 - y3), abs(y0 - y4), abs(y1 - y2),
+              abs(y1 - y3), abs(y1 - y4), abs(y2 - y3), abs(y2 - y4),
+              abs(y3 - y4)):
+        if s < separation:
+            separation = s
+    if (ratio + 1) * d_max <= 0.5 * separation:
         return b_new, xs_new, residual, separation
-    for i, (c, d) in enumerate(zip(xs_cur, (d0, d1, d2, d3, d4))):
+    for i, c in enumerate(xs_cur):
+        d = abs(xs_new[i] - c)
         if d * ratio > min(abs(y - c) for y in xs_new[:i] + xs_new[i + 1:]):
             return None
     return b_new, xs_new, residual, separation
 
 
 def track_path(ts, b0, xs0, tol_residual, match_ratio, max_depth, budget,
-               check=None):
+               check=None, entry=0):
     """Track the branch and roots along the waypoints ``ts``.
 
     Returns (b_end, xs_end, max_residual, min_separation, steps_used,
-    max_halving_depth); the last is the deepest halving level at which a
-    step was committed (0 when no step was halved).  Raises
-    :class:`TrackingError` once a segment needs halving deeper than
+    max_halving_depth, b_entry, xs_entry): the deepest level that committed
+    a halved step (or 0), then the state committed at ``ts[entry]``.
+    Raises :class:`TrackingError` once a segment needs halving deeper than
     ``max_depth`` or more than ``budget`` committed steps in total.
 
     A failed step pushes its target and then its midpoint onto the
@@ -397,6 +403,7 @@ def track_path(ts, b0, xs0, tol_residual, match_ratio, max_depth, budget,
     """
     b_cur = b_prev = complex(b0)
     xs_cur = xs_prev = [complex(x) for x in xs0]
+    b_entry, xs_entry = b_cur, tuple(xs_cur)
     t_cur = complex(ts[0])
     max_residual = 0.0
     min_separation = float("inf")
@@ -434,8 +441,10 @@ def track_path(ts, b0, xs0, tol_residual, match_ratio, max_depth, budget,
                 min_separation = separation
             if depth > max_halving_depth:
                 max_halving_depth = depth
+        if k == entry:
+            b_entry, xs_entry = b_cur, tuple(xs_cur)
     return (b_cur, tuple(xs_cur), max_residual, min_separation, steps_used,
-            max_halving_depth)
+            max_halving_depth, b_entry, xs_entry)
 
 
 @lru_cache(maxsize=None)
@@ -457,33 +466,35 @@ def track_loop(spec: LoopSpec, cfg: TrackingConfig) -> TrackResult:
     """Track one loop and return its root permutation with diagnostics.
 
     It takes exactly (spec, cfg), from which perfbench's tracer names its
-    spans.  It fails unless the branch closes within ``tol_lambda`` and
-    the final roots match the initial ones by the ratio test.
+    spans.  It reads the roots at the lasso's entry, the first waypoint
+    equal to its last, and fails unless the branch closes within
+    ``tol_lambda`` and the final roots match those by the ratio test.
     """
     b0, xs0, ts = loop_start(spec, cfg)
-    b_end, xs_end, max_residual, min_sep, steps_used, depth = track_path(
-        ts, b0, xs0, cfg.tol_residual, cfg.tol_match_ratio,
-        cfg.max_depth, cfg.budget(len(ts) - 1))
+    entry = ts.index(ts[-1])
+    waypoints = len(ts) - 1
+    # the closed contour's budget less its way back: the same halvings
+    (b_end, xs_end, max_residual, min_sep, steps_used, depth,
+     b_entry, xs_entry) = track_path(
+        ts, b0, xs0, cfg.tol_residual, cfg.tol_match_ratio, cfg.max_depth,
+        cfg.budget(waypoints + entry) - entry, entry=entry)
 
-    lam = b_end / b0
+    lam = b_end / b_entry
     k_best = min(range(4), key=lambda k: abs(lam - 1j**k))
     if abs(lam - 1j**k_best) > cfg.tol_lambda:
         raise TrackingError(
             f"branch drift {lam} is not a fourth root of unity "
             f"within {cfg.tol_lambda}")
     mu = 1j ** (-k_best % 4)
-    rescaled = [mu * x for x in xs_end]
 
-    # nearest-point matching of the rescaled final roots to the initial ones
-    pi = [None] * 5
-    taken = set()
-    for j, z in enumerate(rescaled):
-        dists = sorted((abs(z - x), i) for i, x in enumerate(xs0))
-        (d1, i1), (d2, _) = dists[0], dists[1]
-        if d1 * cfg.tol_match_ratio > d2 or i1 in taken:
+    # nearest-point matching of the rescaled final roots to the entry ones
+    pi = []
+    for z in xs_end:
+        (d1, i1), (d2, _) = sorted((abs(mu * z - x), i)
+                                   for i, x in enumerate(xs_entry))[:2]
+        if d1 * cfg.tol_match_ratio > d2 or i1 in pi:
             raise TrackingError("final root matching ambiguous")
-        taken.add(i1)
-        pi[j] = i1
+        pi.append(i1)
     return TrackResult(
         pi=tuple(pi),
         lam=lam,
@@ -491,6 +502,6 @@ def track_loop(spec: LoopSpec, cfg: TrackingConfig) -> TrackResult:
         max_residual=max_residual,
         min_separation=min_sep,
         steps_used=steps_used,
-        waypoints=len(ts) - 1,
+        waypoints=waypoints,
         max_halving_depth=depth,
     )

@@ -275,7 +275,7 @@ def test_certificate_keeps_the_geometry_but_not_the_steps():
     certs = certify.certify(TrackingConfig(steps=1024, base_t=0.4))
     steps = DEFAULT_STEPS
     assert {c.waypoints for c in certs.values()} == \
-        {steps + 2 * max(8, steps // 8)}
+        {steps + max(8, steps // 8)}
     tracked = {p: track_loop(loop_spec(TrackingConfig(base_t=0.4), p),
                              TrackingConfig(base_t=0.4)).pi
                for p in (0, 1, "inf")}
@@ -325,8 +325,8 @@ def test_quality_reports_the_certificate():
 
 
 def test_step_budget_guard(monkeypatch):
-    # a default run_checks tracks 3 x 48 steps for the triple, 3 x 80 for
-    # its doubling and 3 x 48 for the certificate (528); at 1024 steps per
+    # a default run_checks tracks 3 x 40 steps for the triple, 3 x 72 for
+    # its doubling and 3 x 40 for the certificate (456); at 1024 steps per
     # circle the triple and its doubling took 11,520
     calls = 0
     real = tracking._try_step
@@ -338,4 +338,4 @@ def test_step_budget_guard(monkeypatch):
 
     monkeypatch.setattr(tracking, "_try_step", counting)
     assert verify.run_checks()["status"] == "pass"
-    assert calls <= 690, calls
+    assert calls <= 600, calls

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bringcover import monodromy, tracking
+from bringcover import certify, monodromy, tracking
 from bringcover.monodromy import monodromy_triple, sheet_constellation
 from bringcover.perms import (
     compose,
@@ -111,9 +111,10 @@ def reference_try_step(t_target, b_cur, xs_cur, b_prev, xs_prev, tol, ratio):
 
 
 def reference_track_path(ts, b0, xs0, tol_residual, match_ratio, max_depth,
-                         budget):
+                         budget, entry=0):
     b_cur = b_prev = complex(b0)
     xs_cur = xs_prev = [complex(x) for x in xs0]
+    at_entry = (b_cur, tuple(xs_cur))
     t_cur = complex(ts[0])
     max_residual = 0.0
     min_separation = float("inf")
@@ -147,7 +148,40 @@ def reference_track_path(ts, b0, xs0, tol_residual, match_ratio, max_depth,
 
     for k in range(1, len(ts)):
         advance(complex(ts[k]), 0)
-    return b_cur, tuple(xs_cur), max_residual, min_separation, steps_used
+        if k == entry:
+            at_entry = (b_cur, tuple(xs_cur))
+    return (b_cur, tuple(xs_cur), max_residual, min_separation, steps_used,
+            *at_entry)
+
+
+def closed_reference_loop(spec, cfg):
+    """The loop walked as a closed contour, tail back to the base point
+    included, and matched at the base: (pi, lam_power, halvings), or the
+    TrackingError message.  Each loop was tracked so before the lasso; the
+    lasso must give the same permutation wherever this succeeds."""
+    b0, xs0, ts = tracking.loop_start(spec, cfg)
+    n_tail = ts.index(ts[-1])
+    closed = ts + ts[n_tail - 1::-1]
+    waypoints = len(closed) - 1
+    try:
+        b_end, xs_end, _, _, steps_used, _, _ = reference_track_path(
+            closed, b0, xs0, cfg.tol_residual, cfg.tol_match_ratio,
+            cfg.max_depth, cfg.budget(waypoints))
+    except TrackingError as exc:
+        return f"TrackingError: {exc}"
+    lam = b_end / b0
+    k = min(range(4), key=lambda k: abs(lam - 1j**k))
+    if abs(lam - 1j**k) > cfg.tol_lambda:
+        return "TrackingError: branch drift"
+    mu = 1j ** (-k % 4)
+    pi = []
+    for z in xs_end:
+        (d1, i1), (d2, _) = sorted((abs(mu * z - x), i)
+                                   for i, x in enumerate(xs0))[:2]
+        if d1 * cfg.tol_match_ratio > d2 or i1 in pi:
+            return "TrackingError: final root matching ambiguous"
+        pi.append(i1)
+    return tuple(pi), k, steps_used - waypoints
 
 
 def _outcome(fn, *args):
@@ -171,9 +205,17 @@ def winding_number(points, center):
 
 
 def test_contour_closes_at_base():
+    # a lasso: the tail starts at the base point, and the circle closes bit
+    # for bit on the entry point, where the tail ends
+    n_tail = max(8, CFG.steps // 8)
     for p in (0, 1, "inf"):
-        ts = contour(loop_spec(CFG, p))
-        assert ts[0] == ts[-1] == complex(CFG.base_t)
+        spec = loop_spec(CFG, p)
+        ts = contour(spec)
+        entry = tracking.loop_entry(spec)[1]
+        assert ts[0] == complex(CFG.base_t)
+        assert ts[n_tail] == ts[-1] == entry
+        assert len(ts) == n_tail + CFG.steps + 1
+        assert ts.index(entry) == n_tail
 
 
 @pytest.mark.parametrize("puncture,wind0,wind1", [
@@ -182,9 +224,11 @@ def test_contour_closes_at_base():
     ("inf", 1, 1),  # a large circle winds once around both finite punctures
 ])
 def test_contour_winding(puncture, wind0, wind1):
+    # the closed part of the lasso: the circle from its entry point
     ts = contour(loop_spec(CFG, puncture))
-    assert winding_number(ts, 0) == wind0
-    assert winding_number(ts, 1) == wind1
+    circle = ts[ts.index(ts[-1]):]
+    assert winding_number(circle, 0) == wind0
+    assert winding_number(circle, 1) == wind1
 
 
 def test_loop_spec_validation():
@@ -274,7 +318,7 @@ def test_too_coarse_fails():
 
 
 # the default contours need no halving even at 8 steps per circle; a
-# ratio of 8 rejects enough steps of the infinity loop to halve 7 times
+# ratio of 8 rejects enough steps of the infinity loop to halve 3 times
 HALVING_CFG = TrackingConfig(tol_match_ratio=8.0)
 
 
@@ -305,13 +349,21 @@ def test_pinned_permutations(steps, branch):
         PINNED_CYCLES[branch]
 
 
+# the halvings of the infinity lasso, by match ratio: those of the closed
+# contour but the 4 and 21 its way back took
+LASSO_HALVINGS = {8.0: 3, 19.0: 37}
+
+
 @pytest.mark.parametrize("ratio, halvings", [(8.0, 7), (19.0, 58)])
 def test_pinned_infinity_halvings(ratio, halvings):
-    # recorded from the tracker that started Newton at the old roots: the
-    # secant start moves no step across the ratio test
+    # the closed contour's halvings, recorded from the tracker that started
+    # Newton at the old roots: the secant start moves no step across the
+    # ratio test
     cfg = TrackingConfig(tol_match_ratio=ratio)
-    res = track_loop(loop_spec(cfg, "inf"), cfg)
-    assert res.steps_used - res.waypoints == halvings
+    spec = loop_spec(cfg, "inf")
+    res = track_loop(spec, cfg)
+    assert closed_reference_loop(spec, cfg) == (res.pi, 0, halvings)
+    assert res.steps_used - res.waypoints == LASSO_HALVINGS[ratio]
 
 
 def test_zero_move_step_has_no_secant():
@@ -322,27 +374,75 @@ def test_zero_move_step_has_no_secant():
     xs0 = roots5(1.0, b0)
     got = track_path([0.5, 0.45, 0.45, 0.4], b0, xs0, 1e-10, 3.0, 40, 100)
     want = track_path([0.5, 0.45, 0.4], b0, xs0, 1e-10, 3.0, 40, 100)
-    assert got[4:] == (3, 0)
+    assert got[4:6] == (3, 0)
     assert got[0] == want[0]
     assert max(abs(x - y) for x, y in zip(got[1], want[1])) < 1e-10
+    # the entry state defaults to the start; at the repeated waypoint the
+    # zero move keeps the state its first copy committed
+    assert got[6:] == (b0, tuple(xs0))
+    again = track_path([0.5, 0.45, 0.45, 0.4], b0, xs0, 1e-10, 3.0, 40, 100,
+                       entry=2)
+    assert again[:6] == got[:6]
+    assert again[6:] == track_path([0.5, 0.45], b0, xs0, 1e-10, 3.0, 40,
+                                   100)[:2]
 
 
 def test_repeated_waypoints_keep_the_permutation(monkeypatch):
-    # every waypoint twice: each loop commits twice its steps, and the
-    # permutations and the halving count are those recorded from the
-    # tracker that started Newton at the old roots
+    # every waypoint twice: each loop commits twice its steps, the
+    # permutations are those recorded from the tracker that started Newton
+    # at the old roots, and the halving count is the lasso's
     real = tracking.contour
     monkeypatch.setattr(tracking, "contour",
                         lambda spec: [t for t in real(spec)
                                       for _ in (0, 1)][1:])
     pinned = {0: (2, 4, 1, 0, 3), 1: (3, 0, 2, 4, 1), "inf": (2, 1, 0, 3, 4)}
-    for cfg, halvings in ((TrackingConfig(), 0), (HALVING_CFG, 7)):
+    for cfg, halvings in ((TrackingConfig(), 0),
+                          (HALVING_CFG, LASSO_HALVINGS[8.0])):
         for p, pi in pinned.items():
             res = track_loop(loop_spec(cfg, p), cfg)
             assert res.pi == pi
-            assert res.waypoints == 96
+            assert res.waypoints == 80
             assert res.steps_used - res.waypoints == \
                 (halvings if p == "inf" else 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(puncture=st.sampled_from([0, 1, "inf"]),
+       base_t=st.floats(0.3, 0.7),
+       branch=st.integers(0, 3),
+       radius_factor=st.floats(0.7, 1.3),
+       steps=st.sampled_from([8, 16, 32, 64, 256]),
+       ratio=st.floats(2.0, 8.0))
+def test_lasso_matches_the_closed_contour(puncture, base_t, branch,
+                                          radius_factor, steps, ratio):
+    # wherever the closed contour tracks, the lasso tracks too and reads
+    # the same permutation at the entry point; the certificate proves it
+    try:
+        cfg = TrackingConfig(base_t=base_t, branch=branch, steps=steps,
+                             radius0=0.25 * radius_factor,
+                             radius1=0.25 * radius_factor,
+                             radius_inf=8.0 * radius_factor,
+                             tol_match_ratio=ratio)
+    except ValueError:
+        assume(False)
+    spec = loop_spec(cfg, puncture)
+    want = closed_reference_loop(spec, cfg)
+    try:
+        res = track_loop(spec, cfg)
+    except TrackingError:
+        assert isinstance(want, str)
+        return
+    assert res.pi == certify.certify(cfg)[puncture].pi
+    if not isinstance(want, str):
+        assert (res.pi, res.lam_power) == want[:2]
+
+
+def test_forked_triple_matches_the_closed_contours(triple):
+    want = {p: closed_reference_loop(loop_spec(CFG, p), CFG)[:2]
+            for p in (0, 1, "inf")}
+    assert {p: (r.pi, r.lam_power) for p, r in triple.loops.items()} == want
+    assert (triple.pi0, triple.pi1, triple.pi_inf) == \
+        (want[0][0], want[1][0], want["inf"][0])
 
 
 def test_monodromy_triple(triple):
@@ -454,7 +554,9 @@ def test_contour_circle_matches_reference(puncture, steps):
                                                  base_t=complex(base_t))
         ts = contour(spec)
         n_tail = max(8, steps // 8)
-        assert ts[n_tail + 1:n_tail + 1 + steps] == reference_circle(spec)
+        # the circle's last waypoint is the entry point itself, not its
+        # angle recomputed a full turn on
+        assert ts[n_tail + 1:] == reference_circle(spec)[:-1] + [ts[n_tail]]
 
 
 def test_diagnostics_without_halving():
@@ -463,7 +565,7 @@ def test_diagnostics_without_halving():
         diag = res.diagnostics()
         assert diag["max_halving_depth"] == 0
         assert diag["steps_used"] == diag["waypoints"]
-        assert res.waypoints == steps + 2 * max(8, steps // 8)
+        assert res.waypoints == steps + max(8, steps // 8)
 
 
 def test_diagnostics_report_halving():
@@ -496,13 +598,14 @@ def test_track_path_matches_reference(puncture, base_t, branch,
     b0 = b_from_t(complex(base_t), branch)
     xs0 = roots5(1.0, b0, tol=cfg.tol_residual)
     budget = int(cfg.budget_factor * (len(ts) - 1))
-    args = (ts, b0, xs0, cfg.tol_residual, ratio, max_depth, budget)
+    args = (ts, b0, xs0, cfg.tol_residual, ratio, max_depth, budget, None,
+            ts.index(ts[-1]))
     got = _outcome(track_path, *args)
-    want = _outcome(reference_track_path, *args)
+    want = _outcome(reference_track_path, *args[:7], args[8])
     if isinstance(want, str):
         assert got == want
     else:
-        assert got[:5] == want
+        assert got[:5] + got[6:] == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -661,16 +764,17 @@ def _abs_calls_per_step(monkeypatch, steps):
 
 def test_step_work_guard(monkeypatch):
     # the separation bound decides every step of the loop around 1, so a
-    # committed step computes 15 root distances, not 35, and 5 for the
-    # branch; at 1024 steps per circle the secant start leaves each root one
-    # Newton update, two abs calls with no separate residual, 10 in all
-    assert _abs_calls_per_step(monkeypatch, 1024) <= 32
+    # committed step computes 15 root distances, not 35, and 2 for the
+    # branch, whose quarter turn the quadrant picks; at 1024 steps per
+    # circle the secant start leaves each root one Newton update, two abs
+    # calls with no separate residual, 10 in all
+    assert _abs_calls_per_step(monkeypatch, 1024) <= 29
 
 
 def test_step_work_guard_at_the_default(monkeypatch):
     # the same guard at the default resolution, where Newton needs more
-    # iterations per step: about 16 abs calls besides the 20 above
-    assert _abs_calls_per_step(monkeypatch, DEFAULT_STEPS) <= 38
+    # iterations per step: about 16 abs calls besides the 17 above
+    assert _abs_calls_per_step(monkeypatch, DEFAULT_STEPS) <= 35
 
 
 # ------------------------------------------------------------ base point
