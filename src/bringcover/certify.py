@@ -264,8 +264,7 @@ def certify_loop(spec, cfg: TrackingConfig) -> LoopCertificate:
     :data:`WALK_RATIO`, bisect a segment the certificate rejects up to
     ``cfg.max_depth`` times, with no step budget, and return the proved
     permutation, read where the circle closes, at its entry point."""
-    b0, xs0, ts = loop_start(spec, cfg)
-    entry = ts.index(ts[-1])
+    b0, xs0, ts, entry = loop_start(spec, cfg)
     walk = _Walk(b0, xs0)
     *_, steps_used, _, b_entry, xs_entry = track_path(
         ts, b0, xs0, cfg.tol_residual, WALK_RATIO, cfg.max_depth, math.inf,

@@ -456,22 +456,23 @@ def _base(base_t: complex, branch: int, tol_residual: float) -> tuple:
 
 
 def loop_start(spec: LoopSpec, cfg: TrackingConfig) -> tuple:
-    """(b0, xs0, ts): a loop's base branch, base roots and waypoints; a
-    rebinding of ``tracking.contour`` sees every loop, certified or not."""
-    return (*_base(spec.base_t, cfg.branch, cfg.tol_residual),
-            contour(spec))
+    """(b0, xs0, ts, entry): base branch, base roots, waypoints and the
+    circle's entry point, the index of the first waypoint equal to the last;
+    a rebinding of ``tracking.contour`` sees every loop, certified or not."""
+    ts = contour(spec)
+    return (*_base(spec.base_t, cfg.branch, cfg.tol_residual), ts,
+            ts.index(ts[-1]))
 
 
 def track_loop(spec: LoopSpec, cfg: TrackingConfig) -> TrackResult:
     """Track one loop and return its root permutation with diagnostics.
 
     It takes exactly (spec, cfg), from which perfbench's tracer names its
-    spans.  It reads the roots at the lasso's entry, the first waypoint
-    equal to its last, and fails unless the branch closes within
-    ``tol_lambda`` and the final roots match those by the ratio test.
+    spans.  It reads the roots at the lasso's entry, and fails unless the
+    branch closes within ``tol_lambda`` and the final roots match those by
+    the ratio test.
     """
-    b0, xs0, ts = loop_start(spec, cfg)
-    entry = ts.index(ts[-1])
+    b0, xs0, ts, entry = loop_start(spec, cfg)
     waypoints = len(ts) - 1
     # the closed contour's budget less its way back: the same halvings
     (b_end, xs_end, max_residual, min_sep, steps_used, depth,

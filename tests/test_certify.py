@@ -46,7 +46,7 @@ def _ivc(z):
 
 def _waypoints(cfg, puncture):
     """(t, beta, roots) at every waypoint the kernel commits on a loop."""
-    b0, xs0, ts = tracking.loop_start(loop_spec(cfg, puncture), cfg)
+    b0, xs0, ts, _ = tracking.loop_start(loop_spec(cfg, puncture), cfg)
     seen = [(complex(cfg.base_t), b0, xs0)]
 
     def record(t_cur, t_new, result):

@@ -159,8 +159,7 @@ def closed_reference_loop(spec, cfg):
     included, and matched at the base: (pi, lam_power, halvings), or the
     TrackingError message.  Each loop was tracked so before the lasso; the
     lasso must give the same permutation wherever this succeeds."""
-    b0, xs0, ts = tracking.loop_start(spec, cfg)
-    n_tail = ts.index(ts[-1])
+    b0, xs0, ts, n_tail = tracking.loop_start(spec, cfg)
     closed = ts + ts[n_tail - 1::-1]
     waypoints = len(closed) - 1
     try:
@@ -783,8 +782,8 @@ def test_loop_start_branch_picks_the_base_roots():
     # the cached base solve is keyed by branch: branch 2 is the opposite
     # fourth root, and each start carries the roots of its own quintic
     spec = loop_spec(CFG, 0)
-    b0, xs0, _ = tracking.loop_start(spec, CFG)
-    b2, xs2, _ = tracking.loop_start(spec, CFG._replace(branch=2))
+    b0, xs0, *_ = tracking.loop_start(spec, CFG)
+    b2, xs2, *_ = tracking.loop_start(spec, CFG._replace(branch=2))
     assert b0 != b2
     assert abs(b2 + b0) <= 1e-15 * abs(b0)
     for b, xs in ((b0, xs0), (b2, xs2)):
