@@ -66,6 +66,7 @@ from collections import namedtuple
 from .quintic import BRANCH_SCALE
 from .tracking import (
     DEFAULT_STEPS,
+    MAX_DEPTH,
     TrackingConfig,
     TrackingError,
     loop_spec,
@@ -262,12 +263,12 @@ LoopCertificate = namedtuple("LoopCertificate", (
 def certify_loop(spec, cfg: TrackingConfig) -> LoopCertificate:
     """Certify the loop ``spec``: walk its lasso with the kernel at
     :data:`WALK_RATIO`, bisect a segment the certificate rejects up to
-    ``cfg.max_depth`` times, with no step budget, and return the proved
-    permutation, read where the circle closes, at its entry point."""
+    :data:`tracking.MAX_DEPTH` times, with no step budget, and return the
+    proved permutation, read where the circle closes, at its entry point."""
     b0, xs0, ts, entry = loop_start(spec, cfg)
     walk = _Walk(b0, xs0)
     *_, steps_used, _, b_entry, xs_entry = track_path(
-        ts, b0, xs0, cfg.tol_residual, WALK_RATIO, cfg.max_depth, math.inf,
+        ts, b0, xs0, cfg.tol_residual, WALK_RATIO, MAX_DEPTH, math.inf,
         walk, entry)
     waypoints = len(ts) - 1
     # the entry's discs again: the same floats give the same discs

@@ -115,14 +115,25 @@ def _write(path, text: str) -> None:
         raise SystemExit(2)
 
 
+class _StdoutError(Exception):
+    """An OSError out of a print to stdout or its flush."""
+
+
+def _say(line: str) -> None:
+    try:
+        print(line)
+    except OSError as exc:
+        raise _StdoutError(exc) from None
+
+
 def _print_report(report) -> None:
     for check in report["checks"]:
-        print(f"[{check['status']:>4}] {check['name']}")
+        _say(f"[{check['status']:>4}] {check['name']}")
     n_pass = sum(1 for c in report["checks"] if c["status"] == "pass")
     n_fail = sum(1 for c in report["checks"] if c["status"] == "fail")
     n_info = sum(1 for c in report["checks"] if c["status"] == "info")
-    print(f"{report['status'].upper()}: {n_pass} passed, {n_fail} failed, "
-          f"{n_info} informational")
+    _say(f"{report['status'].upper()}: {n_pass} passed, {n_fail} failed, "
+         f"{n_info} informational")
 
 
 def _cells_payload(ctx) -> dict:
@@ -178,7 +189,7 @@ def _cmd_report(args) -> int:
     only = args.only if payload_hook is None else args.command
     report = verify.run_checks(ctx, only=only)
     if payload_hook is None:
-        print(f"bringcover {__version__}")
+        _say(f"bringcover {__version__}")
     _print_report(report)
     if args.json:
         import json  # only a --json run pays for it
@@ -198,7 +209,7 @@ def _cmd_export(args) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     _write(args.path, dessin.to_dot())
-    print(f"wrote {args.target} to {args.path}")
+    _say(f"wrote {args.target} to {args.path}")
     return 0
 
 
@@ -271,15 +282,18 @@ def run(argv=None):
 
     Every object the run made lives until the process ends, so interpreter
     teardown would only walk and free them: once the standard streams are
-    flushed, ``os._exit`` ends the process at once.  A BrokenPipeError
-    (stdout's reader gone) in a print or the flush is an I/O error: one
-    ``error:`` line, exit code 2.  If the stderr flush fails, SystemExit
-    hands the process to the interpreter's teardown, which reports it.
-    Any other exception out of main propagates as it is."""
+    flushed, ``os._exit`` ends the process at once.  An OSError in a print
+    to stdout or in its flush (its reader gone, its disk full) is an I/O
+    error: one ``error:`` line, exit code 2.  If the stderr flush fails,
+    SystemExit hands the process to the interpreter's teardown, which
+    reports it.  Any other exception out of main propagates as it is."""
     try:
         code = main(argv)
-        sys.stdout.flush()
-    except BrokenPipeError as exc:
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            raise _StdoutError(exc) from None
+    except _StdoutError as exc:
         print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
         code = 2
     try:

@@ -3,7 +3,12 @@
 A dessin is (sigma0, sigma1): the rotation of darts around black vertices
 and around white vertices.  A dart is one edge of the bicolored graph, so
 a face of combinatorial valency k (a 2k-gon on the surface) is a length-k
-cycle of sigma_inf = (sigma0 . sigma1)^-1.
+cycle of sigma_inf = (sigma0 . sigma1)^-1.  :class:`Dessin` is the
+namedtuple of the two rotations.  Its ``sigma_inf`` and ``is_connected``
+are cached properties, kept in the instance ``__dict__`` (no
+``__slots__``), outside the fields that equality and hashing see.
+:func:`perms.orbit` walks the dart orbits of the connectivity test and of
+both automorphism proofs.
 
 The transforms below (recolor, subdivide, dual, union with the dual)
 mirror the classical Belyi-function substitutions 1-b, 4b(1-b), 1/b and
@@ -27,6 +32,7 @@ to prove that they form a group; it is the whole-group oracle.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cached_property
 from operator import eq
 
 from .perms import (
@@ -40,6 +46,7 @@ from .perms import (
     inverse,
     is_perm,
     num_cycles,
+    orbit,
     parse_cycle_string,
     presentation_order,
     presents,
@@ -49,12 +56,11 @@ from .perms import (
 Passport = namedtuple("Passport", "black white face")
 
 
-class Dessin:
-    """Immutable two-permutation constellation."""
+class Dessin(namedtuple("Dessin", "sigma0 sigma1")):
+    """Immutable two-permutation constellation, validated on construction
+    and by ``_replace``."""
 
-    __slots__ = ("n_darts", "sigma0", "sigma1", "sigma_inf", "_connected")
-
-    def __init__(self, sigma0, sigma1):
+    def __new__(cls, sigma0, sigma1):
         sigma0 = tuple(sigma0)
         sigma1 = tuple(sigma1)
         if len(sigma0) != len(sigma1):
@@ -65,23 +71,15 @@ class Dessin:
             if not is_perm(p):
                 raise ValueError(
                     f"{name} is not a permutation of {len(p)} darts")
-        self_set = super().__setattr__
-        self_set("n_darts", len(sigma0))
-        self_set("sigma0", sigma0)
-        self_set("sigma1", sigma1)
-        self_set("sigma_inf", inverse(compose(sigma0, sigma1)))
-        self_set("_connected", None)
+        return tuple.__new__(cls, (sigma0, sigma1))
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, behind _replace, would skip __new__
+        return cls(*iterable)
 
     def __setattr__(self, *a):
         raise AttributeError("Dessin is immutable")
-
-    def __eq__(self, other):
-        return (isinstance(other, Dessin)
-                and self.sigma0 == other.sigma0
-                and self.sigma1 == other.sigma1)
-
-    def __hash__(self):
-        return hash((self.sigma0, self.sigma1))
 
     def __repr__(self):
         return (f"Dessin({self.n_darts} darts, "
@@ -91,27 +89,16 @@ class Dessin:
     # -- invariants ---------------------------------------------------
 
     @property
-    def is_connected(self) -> bool:
-        if self._connected is None:
-            super().__setattr__("_connected", self._compute_connected())
-        return self._connected
+    def n_darts(self) -> int:
+        return len(self.sigma0)
 
-    def _compute_connected(self) -> bool:
-        if self.n_darts == 0:
-            return False
-        seen = [False] * self.n_darts
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            x = stack.pop()
-            for p in (self.sigma0, self.sigma1):
-                y = p[x]
-                if not seen[y]:
-                    seen[y] = True
-                    count += 1
-                    stack.append(y)
-        return count == self.n_darts
+    @cached_property
+    def sigma_inf(self) -> tuple:
+        return inverse(compose(self.sigma0, self.sigma1))
+
+    @cached_property
+    def is_connected(self) -> bool:
+        return self.n_darts > 0 and len(orbit(0, self)) == self.n_darts
 
     def passport(self) -> Passport:
         return Passport(
@@ -344,16 +331,11 @@ def automorphism_group(d: Dessin) -> GroupClosure:
         raise ValueError("automorphisms need a connected dessin")
     maps = list(_maps(d, d))
     gens = []
-    orbit = {0}
+    reached = {0}
     for h in maps:
-        if h[0] not in orbit:
+        if h[0] not in reached:
             gens.append(h)
-            queue = list(orbit)
-            for x in queue:
-                for g in gens:
-                    if g[x] not in orbit:
-                        orbit.add(g[x])
-                        queue.append(g[x])
+            reached = set(orbit(0, gens))
     grp = closure(gens or [identity(d.n_darts)], cap=len(maps) + 1)
     if grp.order != len(maps) or set(grp.elements) != set(maps):
         raise RuntimeError(f"{len(maps)} automorphisms close to a group "
@@ -417,14 +399,7 @@ def presented_automorphisms(d: Dessin, name: str, x: int,
     if not presents(name, *pair):
         raise ValueError(f"the automorphisms at darts {x} and {y} do not "
                          f"satisfy the {name} presentation")
-    orbit = {0}
-    queue = [0]
-    for z in queue:
-        for h in pair:
-            if h[z] not in orbit:
-                orbit.add(h[z])
-                queue.append(h[z])
-    order = len(orbit)
+    order = len(orbit(0, pair))
     if order != d.n_darts:
         raise ValueError(f"the automorphisms at darts {x} and {y} reach "
                          f"{order} of {d.n_darts} darts")

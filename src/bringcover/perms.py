@@ -87,6 +87,20 @@ def cycles(p: Perm) -> list[tuple[int, ...]]:
     return out
 
 
+def orbit(point: int, gens) -> list[int]:
+    """The orbit of ``point`` under the permutations ``gens``, in
+    breadth-first order from it."""
+    out = [point]
+    seen = {point}
+    for x in out:
+        for g in gens:
+            y = g[x]
+            if y not in seen:
+                seen.add(y)
+                out.append(y)
+    return out
+
+
 def cycle_type(p: Perm) -> tuple[int, ...]:
     """Multiset of cycle lengths, sorted descending, fixed points included."""
     return tuple(sorted((len(c) for c in cycles(p)), reverse=True))

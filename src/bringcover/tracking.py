@@ -20,7 +20,9 @@ is ``tol_match_ratio`` times nearer its own old root than any other old
 root (a nearest/next-nearest ratio test, not a certificate); otherwise it
 is halved.  :func:`track_loop` is the one loop-level entry; :mod:`certify`
 starts at :func:`loop_start` and walks the kernel itself, with a check
-that fails every step its Rouché tests do not prove.
+that fails every step its Rouché tests do not prove.  Both halve a segment
+at most :data:`MAX_DEPTH` times, and a tracked loop spends at most
+:meth:`TrackingConfig.budget` steps: the limits are module constants.
 
 Each step is a predictor-corrector step, its Newton started from a
 secant prediction and its ratio test mostly decided by the separation of
@@ -39,8 +41,14 @@ from .quintic import BRANCH_SCALE, b_from_t, roots5
 _I_TURNS = (1j, -1 - 0j, -1j)         # the fourth roots of unity but 1
 _NEWTON_CAP = 60
 _NEWTON_ITERS = range(_NEWTON_CAP - 1)  # after the first; no range() per root
+# a loop may spend BUDGET_FACTOR * (waypoint count) committed steps (see
+# TrackingConfig.budget), and halve one segment at most MAX_DEPTH times;
+# halvings beyond that mean the requested resolution is too coarse and the
+# loop fails rather than silently degrading
+MAX_DEPTH = 40
+BUDGET_FACTOR = 1.05
 # the halvings a loop may always spend at the default resolution or finer:
-# what budget_factor allowed at the former default of 1024 steps
+# what BUDGET_FACTOR allowed at the former default of 1024 steps
 _MIN_HALVINGS = 64
 # the default waypoints per loop circle, and the resolution certify.certify
 # walks whatever steps a config asks for
@@ -55,12 +63,7 @@ class TrackingError(RuntimeError):
 
 class TrackingConfig(namedtuple("TrackingConfig", (
         "base_t", "branch", "radius0", "radius1", "radius_inf", "steps",
-        "tol_residual", "tol_match_ratio", "tol_lambda",
-        # a loop may spend budget_factor * (waypoint count) committed
-        # steps (see budget); halvings beyond that mean the requested
-        # resolution is too coarse and the loop fails rather than
-        # silently degrading
-        "max_depth", "budget_factor", "seed"))):
+        "tol_residual", "tol_match_ratio", "tol_lambda", "seed"))):
     """The loop geometry, the kernel's tolerances and the sampling seed
     of the printed expression's deviation.
 
@@ -73,8 +76,7 @@ class TrackingConfig(namedtuple("TrackingConfig", (
                 radius0: float = 0.25, radius1: float = 0.25,
                 radius_inf: float = 8.0, steps: int = DEFAULT_STEPS,
                 tol_residual: float = 1e-10, tol_match_ratio: float = 3.0,
-                tol_lambda: float = 1e-8, max_depth: int = 40,
-                budget_factor: float = 1.05, seed: int = 0):
+                tol_lambda: float = 1e-8, seed: int = 0):
         # a nan ratio makes every comparison of the test false, and a ratio
         # below 1 accepts a root nearer another old root than its own
         if not (math.isfinite(tol_match_ratio) and tol_match_ratio >= 1):
@@ -91,25 +93,16 @@ class TrackingConfig(namedtuple("TrackingConfig", (
         if not 0 < base_t < 1:
             raise ValueError("base_t must lie strictly between 0 and 1, "
                              f"got {base_t!r}")
-        # otherwise a bad branch fails only when a loop starts and a nan
-        # budget_factor in the middle of tracking, while a negative
-        # max_depth, meaningless, would act as 0 (no halving), and a None
-        # seed fails only in the printed-deviation samples; type(...) is int
-        # also turns away a bool
+        # otherwise a bad branch fails only when a loop starts, and a None
+        # seed only in the printed-deviation samples; type(...) is int also
+        # turns away a bool
         if not (type(branch) is int and 0 <= branch <= 3):
             raise ValueError(f"branch must be an int in 0..3, got {branch!r}")
-        if not (type(max_depth) is int and max_depth >= 0):
-            raise ValueError("max_depth must be an int >= 0, "
-                             f"got {max_depth!r}")
         if type(seed) is not int:
             raise ValueError(f"seed must be an int, got {seed!r}")
-        if not (math.isfinite(budget_factor) and budget_factor >= 1):
-            raise ValueError("budget_factor must be a finite number >= 1, "
-                             f"got {budget_factor!r}")
         self = tuple.__new__(cls, (
             base_t, branch, radius0, radius1, radius_inf, steps,
-            tol_residual, tol_match_ratio, tol_lambda, max_depth,
-            budget_factor, seed))
+            tol_residual, tol_match_ratio, tol_lambda, seed))
         # every loop can be built, at its own steps and at the steps
         # certify.certify walks whatever steps is
         for puncture in (0, 1, "inf"):
@@ -129,11 +122,11 @@ class TrackingConfig(namedtuple("TrackingConfig", (
 
     def budget(self, waypoints: int) -> int:
         """The committed steps a loop of ``waypoints`` segments may spend:
-        budget_factor times them, and at the default resolution or finer
+        BUDGET_FACTOR times them, and at the default resolution or finer
         at least _MIN_HALVINGS more.  Below the default, which only an
-        explicit ``steps`` gives, budget_factor alone holds, so a contour
+        explicit ``steps`` gives, BUDGET_FACTOR alone holds, so a contour
         far too coarse still fails loudly."""
-        budget = int(self.budget_factor * waypoints)
+        budget = int(BUDGET_FACTOR * waypoints)
         if self.steps >= DEFAULT_STEPS:
             budget = max(budget, waypoints + _MIN_HALVINGS)
         return budget
@@ -477,7 +470,7 @@ def track_loop(spec: LoopSpec, cfg: TrackingConfig) -> TrackResult:
     # the closed contour's budget less its way back: the same halvings
     (b_end, xs_end, max_residual, min_sep, steps_used, depth,
      b_entry, xs_entry) = track_path(
-        ts, b0, xs0, cfg.tol_residual, cfg.tol_match_ratio, cfg.max_depth,
+        ts, b0, xs0, cfg.tol_residual, cfg.tol_match_ratio, MAX_DEPTH,
         cfg.budget(waypoints + entry) - entry, entry=entry)
 
     lam = b_end / b_entry

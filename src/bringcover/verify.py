@@ -41,7 +41,7 @@ from .perms import (
     regular_representation,
     symmetric_group,
 )
-from .tracking import DEFAULT_STEPS, TrackingConfig
+from .tracking import BUDGET_FACTOR, DEFAULT_STEPS, MAX_DEPTH, TrackingConfig
 
 
 @dataclass(frozen=True)
@@ -481,7 +481,9 @@ def run_checks(config: TrackingConfig | Context | None = None,
         r["status"] in ("pass", "info") for r in results) else "fail"
     return {
         "version": __version__,
-        "config": ctx.config._asdict(),
+        # the two tracking limits are constants, echoed with the config
+        "config": {**ctx.config._asdict(), "max_depth": MAX_DEPTH,
+                   "budget_factor": BUDGET_FACTOR},
         "checks": results,
         "status": status,
     }

@@ -54,7 +54,7 @@ def _waypoints(cfg, puncture):
         return True
 
     tracking.track_path(ts, b0, xs0, cfg.tol_residual, certify.WALK_RATIO,
-                        cfg.max_depth, math.inf, record)
+                        tracking.MAX_DEPTH, math.inf, record)
     return seen
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bringcover import cells, cli, cover, monodromy, perms, verify
+from bringcover import cells, cli, cover, monodromy, perms, tracking, verify
 from bringcover.cli import _TRACKING_FLAGS, build_parser, main
 from bringcover.tracking import DEFAULT_STEPS, TrackingConfig
 
@@ -66,9 +66,13 @@ def test_report_schema():
 
 
 def test_report_echoes_full_config():
-    cfg = TrackingConfig(steps=256, max_depth=30, budget_factor=1.1, seed=7)
+    # the two tracking limits are constants, echoed beside the fields
+    cfg = TrackingConfig(steps=256, seed=7)
     report = verify.run_checks(cfg, only="cells")
-    assert report["config"] == cfg._asdict()
+    assert report["config"] == {**cfg._asdict(),
+                                "max_depth": tracking.MAX_DEPTH,
+                                "budget_factor": tracking.BUDGET_FACTOR}
+    assert len(report["config"]) == 12
 
 
 def test_only_filter():
@@ -800,6 +804,26 @@ def test_closed_stdout_pipe_is_an_io_error(buffered):
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == \
         (2, "error: cannot write to stdout: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs the /dev/full device")
+@pytest.mark.parametrize("buffered", [True, False],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["export", "--target", "I4", "--path", os.devnull], ["verify-all"]],
+    ids=["export", "verify-all"])
+def test_full_stdout_is_an_io_error(argv, buffered):
+    # every write to /dev/full fails with ENOSPC, in a print or the flush
+    env = _buffered_env() if buffered else {**os.environ,
+                                            "PYTHONUNBUFFERED": "1"}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bringcover.cli", *argv],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == \
+        (2, "error: cannot write to stdout: "
+            "[Errno 28] No space left on device\n")
 
 
 @pytest.mark.parametrize("argv", [

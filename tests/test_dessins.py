@@ -324,6 +324,33 @@ def test_immutability():
     d = build_i4()
     with pytest.raises(AttributeError):
         d.sigma0 = identity(60)
+    for name in ("sigma1", "sigma_inf", "is_connected", "n_darts", "other"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(d, name, None)
+
+
+def test_dessin_is_the_value_of_its_rotations():
+    d = build_i4()
+    rotations = (d.sigma0, d.sigma1)
+    assert d == rotations and hash(d) == hash(rotations)
+    assert d == Dessin(*rotations) and d != d.mirror()
+    assert d._replace(sigma1=d.sigma0) == Dessin(d.sigma0, d.sigma0)
+    for change in ({"sigma1": (0,) * d.n_darts}, {"sigma0": identity(3)}):
+        with pytest.raises(ValueError):
+            d._replace(**change)
+    with pytest.raises(ValueError, match="sigma0 is not a permutation"):
+        Dessin._make([(0, 0), (0, 1)])
+
+
+def test_derived_rotation_and_connectivity_are_cached():
+    d = build_i4()
+    assert d.sigma_inf is d.sigma_inf
+    assert d.sigma_inf == inverse(compose(d.sigma0, d.sigma1))
+    assert vars(d).keys() == {"sigma_inf"}
+    assert d.is_connected and vars(d).keys() == {"sigma_inf", "is_connected"}
+    # the cache is outside the fields that equality and hashing see
+    assert d == build_i4() and hash(d) == hash(build_i4())
+    assert not Dessin((), ()).is_connected
 
 
 def test_cycle_type_of_faces_matches_genus():

@@ -168,3 +168,12 @@ def test_no_module_imports_process_pools_or_pickle():
                    for name in _imported_modules(ast.parse(path.read_text()))
                    if name.split(".")[0] in banned)
     assert found == []
+
+
+def test_every_tracking_field_but_the_branch_is_a_flag():
+    # a field no flag sets is a knob only tests turn; the fourth-root branch
+    # of b(t) stays one, swept by the tests to show the triples conjugate
+    from bringcover.cli import _TRACKING_FLAGS
+    from bringcover.tracking import TrackingConfig
+
+    assert set(TrackingConfig._fields) - {"branch"} == set(_TRACKING_FLAGS)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from bringcover import monodromy
+from bringcover import monodromy, tracking
 from bringcover.monodromy import FORK_STEPS, monodromy_triple
 from bringcover.tracking import (
     DEFAULT_STEPS,
@@ -19,9 +19,9 @@ from bringcover.tracking import (
 
 LOOPS = (0, 1, "inf")
 # every loop breaks its ratio test at once, each near its own t
-ALL_FAIL = dict(tol_match_ratio=1e4, max_depth=0)
+ALL_FAIL = dict(tol_match_ratio=1e4)
 # only the infinity loop does
-INF_FAILS = dict(tol_match_ratio=300.0, max_depth=0)
+INF_FAILS = dict(tol_match_ratio=300.0)
 
 
 def _direct(cfg):
@@ -97,6 +97,8 @@ def test_forked_triple_equals_direct_tracks_at_the_benchmark_steps():
 
 @pytest.mark.parametrize("overrides", [ALL_FAIL, INF_FAILS])
 def test_forked_errors_are_the_serial_errors(overrides, monkeypatch):
+    # no halving: the forked children inherit the patched limit
+    monkeypatch.setattr(tracking, "MAX_DEPTH", 0)
     cfg = TrackingConfig(steps=FORK_STEPS, **overrides)
     got = _error(cfg)
     assert got[0] is TrackingError and "near t=" in got[1]

@@ -4,7 +4,7 @@ from math import factorial
 from operator import itemgetter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bringcover import perms
@@ -82,6 +82,35 @@ def perm_pairs(draw):
 def test_compose_matches_definition(pq):
     p, q = pq
     assert compose(p, q) == tuple(p[q[i]] for i in range(len(p)))
+
+
+def reference_orbit_layers(point, gens):
+    """The orbit of ``point`` as a list of sets, the points at each
+    distance from it, by whole-set steps."""
+    layers = [{point}]
+    seen = {point}
+    while True:
+        nxt = {g[x] for g in gens for x in layers[-1]} - seen
+        if not nxt:
+            return layers
+        layers.append(nxt)
+        seen |= nxt
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=7).flatmap(
+    lambda n: st.tuples(st.integers(0, n - 1),
+                        st.lists(st.permutations(range(n)), max_size=3))))
+@example((3, []))
+@example((0, [(0,), (0,)]))
+def test_orbit_matches_a_set_walk(case):
+    point, gens = case
+    got = perms.orbit(point, gens)
+    dist = {x: i for i, layer in enumerate(reference_orbit_layers(point, gens))
+            for x in layer}
+    assert len(got) == len(set(got)) and set(got) == set(dist)
+    # breadth first: the distance from ``point`` never decreases
+    assert [dist[x] for x in got] == sorted(dist.values())
 
 
 def test_inverse():
