@@ -5,6 +5,8 @@ from collections import Counter
 from pathlib import Path
 
 import bringcover
+from bringcover.cli import _TRACKING_FLAGS
+from bringcover.tracking import TrackingConfig
 
 SRC = Path(bringcover.__file__).parent
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -173,7 +175,4 @@ def test_no_module_imports_process_pools_or_pickle():
 def test_every_tracking_field_but_the_branch_is_a_flag():
     # a field no flag sets is a knob only tests turn; the fourth-root branch
     # of b(t) stays one, swept by the tests to show the triples conjugate
-    from bringcover.cli import _TRACKING_FLAGS
-    from bringcover.tracking import TrackingConfig
-
     assert set(TrackingConfig._fields) - {"branch"} == set(_TRACKING_FLAGS)
