@@ -14,7 +14,6 @@ _HOMES = {
     "canonical_class": "cells",
     "enumerate_cells": "cells",
     "refinements": "cells",
-    "twist": "cells",
     "cover_to_dessin": "cover",
     "euler_characteristic": "cover",
     "is_orientable": "cover",
@@ -32,7 +31,6 @@ _HOMES = {
     "identify_closure": "perms",
     "regular_representation": "perms",
     "b_from_t": "quintic",
-    "f_value": "quintic",
     "roots5": "quintic",
     "verify_identities": "quintic",
     "LoopSpec": "tracking",
@@ -44,39 +42,7 @@ _HOMES = {
 }
 _LAYERS = frozenset(_HOMES.values())
 
-__all__ = [
-    "Dessin",
-    "LoopSpec",
-    "MonodromyTriple",
-    "TrackResult",
-    "TrackingConfig",
-    "TrackingError",
-    "automorphism_group",
-    "b_from_t",
-    "build_complex5",
-    "build_i4",
-    "build_icosahedron",
-    "canonical_class",
-    "closure",
-    "cover_to_dessin",
-    "enumerate_cells",
-    "euler_characteristic",
-    "f_value",
-    "identify_closure",
-    "is_orientable",
-    "isomorphic",
-    "monodromy_triple",
-    "orientation_cover",
-    "refinements",
-    "regular_representation",
-    "roots5",
-    "run_checks",
-    "sheet_constellation",
-    "surface_from_cells",
-    "track_loop",
-    "twist",
-    "verify_identities",
-]
+__all__ = sorted(_HOMES)
 
 
 def __getattr__(name):

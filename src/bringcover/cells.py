@@ -146,9 +146,9 @@ def polygon(n: int, labels, diags=()) -> LabeledPolygon:
 
 
 def _twist_key(labels: tuple, diags, chord) -> tuple:
-    """:func:`twist` on a bare (labels, diags) key, for a chord (a, b)
-    with a < b; the chords of the result come back as corner pairs in the
-    order of ``diags``, unsorted.
+    """The twist of a bare (labels, diags) key along a chord (a, b) with
+    a < b: cut along the chord, flip one part, reglue.  The chords of the
+    result come back as corner pairs in the order of ``diags``, unsorted.
 
     The sides a..b-1 stay; the others, read from b round to a-1, reverse.
     A chord with no end strictly between a and b rides in the flipped
@@ -160,20 +160,6 @@ def _twist_key(labels: tuple, diags, chord) -> tuple:
     moved = [(c, d) if a < c < b or a < d < b else ((s - c) % n, (s - d) % n)
              for c, d in diags]
     return flipped[n - b:] + labels[a:b] + flipped[:n - b], moved
-
-
-def twist(p: LabeledPolygon, diag) -> LabeledPolygon:
-    """Cut along ``diag``, flip one part, reglue: with the chord rotated
-    to (0, k), the sides k..n-1 read backwards afterwards, so label order
-    (z1,...,zk, z_{k+1},...,zn) becomes (z1,...,zk, zn,...,z_{k+1}).
-
-    Chords riding inside the flipped part are reflected along; the flip
-    is an exact involution on the polygon data.
-    """
-    diag = tuple(sorted(diag))
-    if diag not in p.diags:
-        raise ValueError(f"{diag} is not a diagonal of the polygon")
-    return polygon(p.n, *_twist_key(p.labels, p.diags, diag))
 
 
 def _normal_form(labels, chords) -> tuple:

@@ -119,9 +119,9 @@ class _StdoutError(Exception):
     """An OSError out of a print to stdout or its flush."""
 
 
-def _say(line: str) -> None:
+def _say(text: str, end: str = "\n") -> None:
     try:
-        print(line)
+        print(text, end=end)
     except OSError as exc:
         raise _StdoutError(exc) from None
 
@@ -231,6 +231,21 @@ def build_parser():
     return parser
 
 
+def _parse_args(argv):
+    """``build_parser().parse_args(argv)``, with the help or version text
+    it prints written by :func:`_say`: argparse's own write drops an
+    OSError, which would leave a full or closed stdout unreported."""
+    import contextlib
+    import io
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return build_parser().parse_args(argv)
+    finally:
+        if out.getvalue():
+            _say(out.getvalue(), end="")
+
+
 def _parse_canonical(argv):
     """The namespace ``build_parser().parse_args(argv)`` returns, for a
     canonical command line; None for any other.
@@ -271,7 +286,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _parse_canonical(argv)
     if args is None:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(argv)
     if args.command == "export":
         return _cmd_export(args)
     return _cmd_report(args)
@@ -282,13 +297,18 @@ def run(argv=None):
 
     Every object the run made lives until the process ends, so interpreter
     teardown would only walk and free them: once the standard streams are
-    flushed, ``os._exit`` ends the process at once.  An OSError in a print
-    to stdout or in its flush (its reader gone, its disk full) is an I/O
-    error: one ``error:`` line, exit code 2.  If the stderr flush fails,
-    SystemExit hands the process to the interpreter's teardown, which
-    reports it.  Any other exception out of main propagates as it is."""
+    flushed, ``os._exit`` ends the process at once, also after the
+    SystemExit of help, ``--version`` or a usage error.  An OSError in a
+    print to stdout or in its flush (its reader gone, its disk full) is an
+    I/O error: one ``error:`` line, exit code 2.  If the stderr flush
+    fails, SystemExit hands the process to the interpreter's teardown,
+    which reports it.  Any other exception out of main propagates as it
+    is."""
     try:
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # help, --version or a usage error
+            code = exc.code
         try:
             sys.stdout.flush()
         except OSError as exc:

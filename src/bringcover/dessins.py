@@ -47,7 +47,6 @@ from .perms import (
     is_perm,
     num_cycles,
     orbit,
-    parse_cycle_string,
     presentation_order,
     presents,
 )
@@ -180,25 +179,6 @@ class Dessin(namedtuple("Dessin", "sigma0 sigma1")):
         return (f"darts: {self.n_darts}\n"
                 f"sigma0: {cycle_string(self.sigma0)}\n"
                 f"sigma1: {cycle_string(self.sigma1)}\n")
-
-    @staticmethod
-    def from_text(text: str) -> "Dessin":
-        """Inverse of :meth:`to_text`, the format of the dessins in the
-        CLI's ``--json`` payloads; kept as API for reading them back."""
-        lines = [ln.strip() for ln in text.strip().splitlines()]
-        if len(lines) != 3:
-            raise ValueError("dessin text needs exactly 3 lines")
-        fields = {}
-        for ln, key in zip(lines, ("darts", "sigma0", "sigma1")):
-            prefix = key + ":"
-            if not ln.startswith(prefix):
-                raise ValueError(f"expected {prefix!r} line, got {ln!r}")
-            fields[key] = ln[len(prefix):].strip()
-        d = int(fields["darts"])
-        if d < 0:
-            raise ValueError(f"dart count must be >= 0, got {d}")
-        return Dessin(parse_cycle_string(fields["sigma0"], d),
-                      parse_cycle_string(fields["sigma1"], d))
 
     def to_dot(self) -> str:
         """Bipartite multigraph in DOT, deterministic byte-for-byte.

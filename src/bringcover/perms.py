@@ -136,22 +136,6 @@ def cycle_string(p: Perm) -> str:
     return "".join(parts) if parts else "()"
 
 
-def parse_cycle_string(s: str, degree: int) -> Perm:
-    """Inverse of :func:`cycle_string` for a known degree."""
-    s = s.strip()
-    if s == "()":
-        return identity(degree)
-    if not (s.startswith("(") and s.endswith(")")):
-        raise ValueError(f"not a cycle string: {s!r}")
-    cycs = []
-    for chunk in s[1:-1].split(")("):
-        pts = tuple(int(tok) for tok in chunk.split())
-        if len(pts) < 2:
-            raise ValueError(f"degenerate cycle in {s!r}")
-        cycs.append(pts)
-    return from_cycles(degree, cycs)
-
-
 class GroupClosure(namedtuple("GroupClosure",
                               "generators elements cap_exceeded",
                               defaults=(False,))):

@@ -27,7 +27,6 @@ import cmath
 import math
 from collections import namedtuple
 
-INF = complex("inf")
 # b^4 = BRANCH_SCALE (1 - t) / t on the fibre a = 1 over the Belyi value t
 BRANCH_SCALE = 256.0 / 3125.0
 
@@ -73,20 +72,9 @@ def roots5(a: complex, b: complex, tol: float = 1e-12) -> tuple:
     return tuple(_label_order(xs, scale))
 
 
-def f_value(a: complex, b: complex) -> complex:
-    """256 a^5 / (256 a^5 + 3125 b^4); infinity on the discriminant locus."""
-    if a == 0 and b == 0:
-        raise ValueError("f is indeterminate at a = b = 0")
-    num = 256 * a**5
-    den = num + 3125 * b**4
-    if den == 0:
-        return INF
-    return num / den
-
-
 def b_from_t(t: complex, branch: int = 0) -> complex:
-    """A coefficient b with f_value(1, b) = t; ``branch`` in 0..3 picks
-    among the four fourth roots."""
+    """A coefficient b with 256 / (256 + 3125 b^4) = t, the Belyi value
+    at a = 1; ``branch`` in 0..3 picks among the four fourth roots."""
     if t == 0:
         raise ValueError("t = 0 corresponds to b at infinity")
     if branch not in (0, 1, 2, 3):

@@ -338,7 +338,7 @@ def _try_step(t_target, b_cur, xs_cur, b_prev, xs_prev, tol, ratio):
         x4 = x * x * x * x
         f = x4 * x + x + b_new
         r = abs(f)
-        if r > lim:
+        if not r <= lim:        # a NaN residual goes to Newton and fails
             for _ in _NEWTON_ITERS:
                 x = x - f / (5 * x4 + 1)
                 x4 = x * x * x * x

@@ -16,9 +16,10 @@ from bringcover.cells import (
     enumerate_cells,
     polygon,
     refinements,
-    twist,
 )
 from bringcover.cover import surface_from_cells
+
+from oracles import twist
 
 
 # ------------------------------------------------------------ reference

@@ -17,8 +17,11 @@ from bringcover.cells import (
     PENTAGON_SIDE_ORDER,
     build_complex5,
     enumerate_cells,
+    polygon,
 )
 from bringcover.cover import surface_from_cells
+
+from oracles import twist
 
 
 def short_block(chord):
@@ -57,9 +60,7 @@ def vertex_descriptor(poly):
 def test_edge_descriptor_opposite_side():
     # chord (0,2) cuts off sides 0,1; the quadrilateral reads
     # chord, side 2, side 3, side 4, so side 3 faces the chord
-    from bringcover.cells import polygon
-
-    p = polygon(5, (1, 2, 3, 4, 5), [(0, 2)])
+    p =polygon(5, (1, 2, 3, 4, 5), [(0, 2)])
     assert edge_descriptor(p) == (frozenset({1, 2}), 4)
     q = polygon(5, (1, 2, 3, 4, 5), [(0, 3)])
     assert edge_descriptor(q) == (frozenset({4, 5}), 2)
@@ -95,8 +96,6 @@ def test_vertex_classes_match_structural_count():
 
 
 def test_descriptor_twist_invariance():
-    from bringcover.cells import polygon, twist
-
     p = polygon(5, (2, 5, 1, 3, 4), [(1, 3)])
     assert edge_descriptor(twist(p, (1, 3))) == edge_descriptor(p)
     q = polygon(5, (2, 5, 1, 3, 4), [(1, 3), (3, 0)])

@@ -14,6 +14,8 @@ from bringcover import cells, cli, cover, monodromy, perms, tracking, verify
 from bringcover.cli import _TRACKING_FLAGS, build_parser, main
 from bringcover.tracking import DEFAULT_STEPS, TrackingConfig
 
+from oracles import dessin_from_text, parse_cycle_string
+
 
 def _record_calls(monkeypatch, *fns) -> list:
     """Rebind each of fns in every bringcover module that binds it to a
@@ -107,9 +109,7 @@ def test_cover_json_export(tmp_path, capsys):
         "faces": 24, "edges": 60, "vertices": 30,
         "components": 1, "orientable": True, "genus": 4,
     }
-    from bringcover.dessins import Dessin
-
-    assert Dessin.from_text(payload["dessin"]) == verify.Context().dessin_d
+    assert dessin_from_text(payload["dessin"]) == verify.Context().dessin_d
     capsys.readouterr()
 
 
@@ -179,7 +179,7 @@ def test_monodromy_json_closes_the_group_once(tmp_path, monkeypatch, capsys):
     out = tmp_path / "monodromy.json"
     assert main(["monodromy", "--json", str(out)]) == 0
     rep = json.loads(out.read_text())["monodromy"]
-    gens = [perms.parse_cycle_string(rep[k], 5) for k in ("pi0", "pi1")]
+    gens = [parse_cycle_string(rep[k], 5) for k in ("pi0", "pi1")]
     # the group check, the report's group_order and the sheet dessin all
     # read one closure of the triple's generators
     assert [args[1] for args in calls].count(gens) == 1
@@ -190,9 +190,7 @@ def test_dessins_json_export(tmp_path, capsys):
     out = tmp_path / "dessins.json"
     assert main(["dessins", "--json", str(out)]) == 0
     payload = json.loads(out.read_text())
-    from bringcover.dessins import Dessin
-
-    named = {name: Dessin.from_text(text)
+    named = {name: dessin_from_text(text)
              for name, text in payload["dessins"].items()}
     assert set(named) == {"icosahedron", "I4", "union", "J", "D"}
     assert named["I4"].n_darts == 60
@@ -785,25 +783,45 @@ def test_piped_verify_all_prints_every_row():
     assert lines[30] == "PASS: 27 passed, 0 failed, 2 informational"
 
 
-@pytest.mark.parametrize("buffered", [True, False],
-                         ids=["buffered", "unbuffered"])
-def test_closed_stdout_pipe_is_an_io_error(buffered):
-    # a buffered stdout fails at the entry's flush, an unbuffered one in the
-    # first print, out of main: either way one error line and exit code 2,
-    # with no traceback and no "Exception ignored" report at teardown
+def _run_into_closed_pipe(argv, buffered):
+    """(exit code, stderr) of the CLI with stdout a pipe whose reader is
+    gone."""
     env = _buffered_env() if buffered else {**os.environ,
                                             "PYTHONUNBUFFERED": "1"}
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "bringcover.cli", "export", "--target",
-             "I4", "--path", os.devnull],
+            [sys.executable, "-m", "bringcover.cli", *argv],
             stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
     finally:
         os.close(write_end)
-    assert (proc.returncode, proc.stderr) == \
-        (2, "error: cannot write to stdout: [Errno 32] Broken pipe\n")
+    return proc.returncode, proc.stderr
+
+
+_BROKEN_PIPE = (2, "error: cannot write to stdout: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("buffered", [True, False],
+                         ids=["buffered", "unbuffered"])
+def test_closed_stdout_pipe_is_an_io_error(buffered):
+    # a buffered stdout fails at the entry's flush, an unbuffered one in the
+    # first print, out of main: either way one error line and exit code 2,
+    # with no traceback and no "Exception ignored" report at teardown
+    assert _run_into_closed_pipe(
+        ["export", "--target", "I4", "--path", os.devnull], buffered) \
+        == _BROKEN_PIPE
+
+
+@pytest.mark.parametrize("buffered", [True, False],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["--version"],
+                                  ["export", "--help"]],
+                         ids=["help", "version", "export-help"])
+def test_help_into_a_closed_stdout_pipe_is_an_io_error(argv, buffered):
+    # argparse's own write drops the OSError; its SystemExit must not
+    # skip the entry's flush either
+    assert _run_into_closed_pipe(argv, buffered) == _BROKEN_PIPE
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"),
@@ -811,8 +829,9 @@ def test_closed_stdout_pipe_is_an_io_error(buffered):
 @pytest.mark.parametrize("buffered", [True, False],
                          ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [
-    ["export", "--target", "I4", "--path", os.devnull], ["verify-all"]],
-    ids=["export", "verify-all"])
+    ["export", "--target", "I4", "--path", os.devnull], ["verify-all"],
+    ["--help"], ["--version"], ["export", "--help"]],
+    ids=["export", "verify-all", "help", "version", "export-help"])
 def test_full_stdout_is_an_io_error(argv, buffered):
     # every write to /dev/full fails with ENOSPC, in a print or the flush
     env = _buffered_env() if buffered else {**os.environ,

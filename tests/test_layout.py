@@ -9,6 +9,7 @@ from bringcover.cli import _TRACKING_FLAGS
 from bringcover.tracking import TrackingConfig
 
 SRC = Path(bringcover.__file__).parent
+LAYERS = {path.stem for path in SRC.glob("*.py")}
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -33,9 +34,13 @@ def _references(node):
             yield sub.name
 
 
+def _trees():
+    return {path.name: ast.parse(path.read_text())
+            for path in sorted(SRC.glob("*.py"))}
+
+
 def test_private_helpers_have_callers():
-    trees = {path.name: ast.parse(path.read_text())
-             for path in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     total = Counter(name for tree in trees.values()
                     for name in _references(tree))
     defs = []
@@ -55,6 +60,85 @@ def test_private_helpers_have_callers():
     assert uncalled == []
 
 
+# public names no code in src/ calls, kept only because the benchmark's
+# tracer (perfbench/tracer.py) wraps them by name in its SPANS, and its
+# selftest requires their spans
+TRACED_ONLY = ("dessins.py automorphism_group", "dessins.py acts_freely")
+
+
+def _module_references(node):
+    """The names a subtree reads as module-level objects: bare names,
+    imports, and attributes of a package module (``cells.polygon``); an
+    attribute of any other object, such as a field, is no caller."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.alias):
+            yield sub.name
+        elif (isinstance(sub, ast.Attribute)
+              and isinstance(sub.value, ast.Name) and sub.value.id in LAYERS):
+            yield sub.attr
+
+
+def _is_check(node):
+    # @check(...) registers the function in the check registry
+    return any(isinstance(d, ast.Call) and getattr(d.func, "id", "") == "check"
+               for d in node.decorator_list)
+
+
+def _uncalled_public(trees):
+    """``file name`` of each public function, class or method that no code
+    in ``trees`` references outside its own body, in file order."""
+    functions, methods = [], []
+    for fname, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, DEFS) and not node.name.startswith("_"):
+                functions.append((fname, node))
+            if isinstance(node, ast.ClassDef):
+                methods.extend((fname, m) for m in node.body
+                               if isinstance(m, DEFS)
+                               and not m.name.startswith("_"))
+    uncalled = []
+    for defs, refs in ((functions, _module_references),
+                       (methods, _references)):
+        total = Counter(name for tree in trees.values()
+                        for name in refs(tree))
+        uncalled += [(fname, node) for fname, node in defs
+                     if not _is_check(node) and total[node.name]
+                     == sum(n == node.name for n in refs(node))]
+    return [f"{fname} {node.name}"
+            for fname, node in sorted(uncalled,
+                                      key=lambda d: (d[0], d[1].lineno))]
+
+
+def test_public_names_have_callers():
+    # src/ holds what the verdict and the CLI reach; a reader or oracle
+    # that only the tests call lives under tests/
+    assert _uncalled_public(_trees()) == list(TRACED_ONLY)
+
+
+def test_public_census_sees_a_new_uncalled_name():
+    trees = _trees()
+    trees["extra.py"] = ast.parse(
+        "class Reader:\n"
+        "    def read_back(self):\n"
+        "        return self.read_back()\n"
+        "def helper():\n"
+        "    return helper()\n")
+    assert _uncalled_public(trees) == [*TRACED_ONLY, "extra.py Reader",
+                                       "extra.py read_back", "extra.py helper"]
+
+
+def test_uncalled_public_names_are_traced_spans():
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    for node in ast.parse(tracer.read_text()).body:
+        if isinstance(node, ast.Assign) and getattr(
+                node.targets[0], "id", "") == "SPANS":
+            spans = ast.literal_eval(node.value)
+    assert all(name in spans[fname[:-3]]
+               for fname, name in map(str.split, TRACED_ONLY))
+
+
 def test_no_module_imports_a_private_name_of_another():
     # a name one layer takes from another is that layer's public API, so
     # its home can change it without reading every importer
@@ -71,11 +155,13 @@ def test_no_module_imports_a_private_name_of_another():
 
 
 def test_lazy_table_is_the_public_api():
-    # the package resolves exactly its public names, each from a layer
-    assert sorted(bringcover._HOMES) == sorted(bringcover.__all__)
-    assert len(set(bringcover.__all__)) == len(bringcover.__all__)
-    assert all((SRC / f"{home}.py").is_file()
-               for home in bringcover._HOMES.values())
+    # the package resolves exactly its public names, each from the layer
+    # that defines it, so the census of public names covers __all__
+    assert bringcover.__all__ == sorted(bringcover._HOMES)
+    defined = {(fname[:-3], node.name) for fname, tree in _trees().items()
+               for node in tree.body if isinstance(node, DEFS)}
+    assert {(home, name) for name, home in bringcover._HOMES.items()} \
+        <= defined
 
 
 def _imported_modules(tree):

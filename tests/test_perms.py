@@ -20,10 +20,11 @@ from bringcover.perms import (
     identity,
     inverse,
     order,
-    parse_cycle_string,
     regular_representation,
     symmetric_group,
 )
+
+from oracles import parse_cycle_string
 
 C5 = from_cycles(5, [(0, 1, 2, 3, 4)])
 T5 = from_cycles(5, [(0, 1)])

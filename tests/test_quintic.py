@@ -8,13 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bringcover import quintic, tracking, verify
-from bringcover.quintic import (
-    INF,
-    b_from_t,
-    f_value,
-    roots5,
-    verify_identities,
-)
+from bringcover.quintic import b_from_t, roots5, verify_identities
+
+from oracles import INF, f_value
 
 
 def power_sums(roots, upto=3):

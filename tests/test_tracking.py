@@ -726,6 +726,25 @@ def test_try_step_rejects_between_bound_and_ratio():
     assert reference_try_step(*args) is None
 
 
+@pytest.mark.parametrize("nan_at", ["root", "branch", "t"])
+def test_try_step_rejects_nan(nan_at):
+    # a NaN residual fails every comparison, so a test written as r > lim
+    # would skip Newton and keep the NaN root
+    nan = complex("nan")
+    b = b_from_t(0.5, 0)
+    xs = list(roots5(1.0, b))
+    if nan_at == "root":
+        xs[2] = nan
+    t, b_cur = (nan if nan_at == "t" else 0.49,
+                nan if nan_at == "branch" else b)
+    args = (t, b_cur, xs, b_cur, xs, 1e-10, 3.0)
+    assert _try_step(*args) is None
+    assert reference_try_step(*args) is None
+    if nan_at == "root":
+        with pytest.raises(TrackingError, match="collision floor"):
+            track_path([0.5, 0.49], b, xs, 1e-10, 3.0, 40, 100)
+
+
 @pytest.mark.parametrize("i", range(5))
 def test_try_step_rejects_when_only_one_root_fails(i):
     # old root i lies 0.15 of the way to the root nearest it and every
