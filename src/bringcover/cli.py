@@ -40,13 +40,14 @@ import types
 
 from . import __version__
 from .context import Context
-from .tracking import DEFAULT_STEPS, TrackingConfig, TrackingError
+from .tracking import DEFAULT_STEPS, MAX_STEPS, TrackingConfig, TrackingError
 
 # TrackingConfig field -> add_argument keywords of its flag, --base-t for
 # base_t
 _TRACKING_FLAGS = {
     "steps": {"type": int,
-              "help": f"waypoints per loop circle (default {DEFAULT_STEPS})"},
+              "help": f"waypoints per loop circle (default {DEFAULT_STEPS}), "
+                      f"at most {MAX_STEPS}"},
     "seed": {"type": int,
              "help": "seed of the samples at which the printed expression's "
                      "deviation is evaluated (the identities are exact)"},
@@ -100,6 +101,10 @@ def _config_from(args) -> TrackingConfig:
     overrides = {k: getattr(args, k) for k in _TRACKING_FLAGS
                  if getattr(args, k) is not None}
     try:
+        # the doubling row tracks twice the steps, up to 2 * MAX_STEPS
+        if overrides.get("steps", 0) > MAX_STEPS:
+            raise ValueError(f"steps must be at most {MAX_STEPS}, "
+                             f"got {overrides['steps']}")
         return TrackingConfig(**overrides)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

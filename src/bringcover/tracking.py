@@ -40,13 +40,20 @@ from .quintic import BRANCH_SCALE, b_from_t, roots5
 
 _I_TURNS = (1j, -1 - 0j, -1j)         # the fourth roots of unity but 1
 _NEWTON_CAP = 60
-_NEWTON_ITERS = range(_NEWTON_CAP - 1)  # after the first; no range() per root
+_NEWTON_ITERS = range(_NEWTON_CAP - 2)  # after the first two, one range
+# the relative slack taken off the triangle bound on a step's separation,
+# thousands of ulps over the rounding of the distances it rests on
+_SEP_SLACK = 2.0 ** -40
 # a loop may spend BUDGET_FACTOR * (waypoint count) committed steps (see
 # TrackingConfig.budget), and halve one segment at most MAX_DEPTH times;
 # halvings beyond that mean the requested resolution is too coarse and the
 # loop fails rather than silently degrading
 MAX_DEPTH = 40
 BUDGET_FACTOR = 1.05
+# the most waypoints per loop circle a run may ask for; its doubling row
+# tracks twice as many, the most a LoopSpec takes, so that a contour (about
+# 40 bytes a waypoint) stays near 100 MB
+MAX_STEPS = 2**20
 # the halvings a loop may always spend at the default resolution or finer:
 # what BUDGET_FACTOR allowed at the former default of 1024 steps
 _MIN_HALVINGS = 64
@@ -68,7 +75,9 @@ class TrackingConfig(namedtuple("TrackingConfig", (
     of the printed expression's deviation.
 
     Validated on construction, by ``_replace`` and ``with_steps`` too: a
-    config that exists can be tracked."""
+    config that exists can be tracked.  Its ``steps`` may reach
+    2 * MAX_STEPS, the doubling row's resolution at the most steps the CLI
+    accepts, MAX_STEPS."""
 
     __slots__ = ()
 
@@ -174,9 +183,9 @@ class LoopSpec(namedtuple("LoopSpec", (
         if base_t in (0, 1):
             raise ValueError("base point must avoid the punctures")
         # a float count would fail only mid-track, in range()
-        if not (isinstance(steps, int) and steps >= 4):
-            raise ValueError("need an int of at least 4 steps on the circle, "
-                             f"got {steps!r}")
+        if not (isinstance(steps, int) and 4 <= steps <= 2 * MAX_STEPS):
+            raise ValueError("need an int of at least 4 steps on the circle "
+                             f"and at most {2 * MAX_STEPS}, got {steps!r}")
         if not (math.isfinite(radius) and radius > 0):
             raise ValueError("loop radius must be a finite number > 0, "
                              f"got {radius!r}")
@@ -278,7 +287,8 @@ class TrackResult(namedtuple("TrackResult", (
         }
 
 
-def _try_step(t_target, b_cur, xs_cur, b_prev, xs_prev, tol, ratio):
+def _try_step(t_target, b_cur, xs_cur, b_prev, xs_prev, tol, ratio,
+              sep_cur=0.0, floor=math.inf):
     """One predictor-corrector step of the ratio test; returns (b_new,
     xs_new, residual, separation) or None when the step must be halved.
 
@@ -305,11 +315,28 @@ def _try_step(t_target, b_cur, xs_cur, b_prev, xs_prev, tol, ratio):
     it as a start at c_i would.
 
     The separation s = min |y_i - y_j| decides that test whenever
-    (ratio + 1) * max d_i <= s / 2.  Proof: |y_j - c_i| >= |y_j - y_i| -
-    d_i >= s - d_i >= ratio * d_i.  The factor 1/2 leaves a margin of s/2
-    over the few-ulp rounding of the computed distances, so the step is
-    accepted exactly when the 20-distance test, run only when the bound
-    fails, would accept it.
+    (ratio + 1) * d_max <= s / 2, d_max = max d_i.  Proof: |y_j - c_i| >=
+    |y_j - y_i| - d_i >= s - d_i >= ratio * d_i.  The factor 1/2 leaves a
+    margin of s/2 over the few-ulp rounding of the computed distances, so
+    the step is accepted exactly when the 20-distance test, run only when
+    the bound fails, would accept it.
+
+    ``sep_cur`` is the separation of the old roots, exact or a proven
+    lower bound, and ``floor`` the smallest separation the caller has kept
+    so far.  By the triangle inequality |y_i - y_j| >= |c_i - c_j| - d_i -
+    d_j, so s >= lb = sep_cur - 2 d_max, less a rounding slack.  When
+    (ratio + 1) d_max <= lb / 2, lb decides the ratio test as s would,
+    and when also lb >= floor the exact s cannot lower the caller's
+    minimum: the step then returns lb as its separation and computes none
+    of the ten distances.  Such a step has (ratio + 1) d_max >= 2 d_max
+    for ratio >= 1, so 4 d_max <= lb and lb >= (2/3) sep_cur: every
+    quantity in the bound is within a small multiple of sep_cur, and the
+    few-ulp rounding of each computed distance and of lb is far below the
+    relative slack :data:`_SEP_SLACK` * sep_cur taken off lb.  So lb lies
+    below the separation the exact path computes, the step accepts what
+    that path accepts, and a carried lb stays a lower bound.  With no
+    history (``sep_cur`` 0, ``floor`` +inf, the defaults) the bound never
+    holds, and the separation returned is exact.
     """
     w = BRANCH_SCALE * (1 - t_target) / t_target
     principal = w ** 0.25
@@ -326,47 +353,55 @@ def _try_step(t_target, b_cur, xs_cur, b_prev, xs_prev, tol, ratio):
     if abs(b_new - b_cur) > 0.4 * b_abs:
         return None
 
-    # Newton from each predicted root, its first evaluation written out
+    # Newton from each predicted root, its first evaluation and update
+    # written out, and d_max = max |y_i - c_i| kept on the way
     db = b_cur - b_prev
     rho = (b_new - b_cur) / db if db else 0
     scale = 1.0 + b_abs
     lim = tol * scale
     xs_new = []
-    residual = 0.0
+    residual = d_max = 0.0
     for c, p in zip(xs_cur, xs_prev):
         x = c + rho * (c - p)
         x4 = x * x * x * x
         f = x4 * x + x + b_new
         r = abs(f)
         if not r <= lim:        # a NaN residual goes to Newton and fails
-            for _ in _NEWTON_ITERS:
-                x = x - f / (5 * x4 + 1)
-                x4 = x * x * x * x
-                f = x4 * x + x + b_new
-                r = abs(f)
-                if r <= lim:
-                    break
-            else:
-                return None
+            x = x - f / (5 * x4 + 1)
+            x4 = x * x * x * x
+            f = x4 * x + x + b_new
+            r = abs(f)
+            if not r <= lim:
+                for _ in _NEWTON_ITERS:
+                    x = x - f / (5 * x4 + 1)
+                    x4 = x * x * x * x
+                    f = x4 * x + x + b_new
+                    r = abs(f)
+                    if r <= lim:
+                        break
+                else:
+                    return None
         if r > residual:
             residual = r
+        d = abs(x - c)
+        if d > d_max:
+            d_max = d
         xs_new.append(x)
     residual /= scale           # division is monotone: max(|f| / scale)
 
+    margin = (ratio + 1) * d_max
+    bound = sep_cur - 2 * d_max - _SEP_SLACK * sep_cur
+    if margin <= 0.5 * bound and bound >= floor:
+        return b_new, xs_new, residual, bound
     y0, y1, y2, y3, y4 = xs_new
-    c0, c1, c2, c3, c4 = xs_cur
-    # compared in turn: min() and max() of many floats cost more
-    d_max = abs(y0 - c0)
-    for d in (abs(y1 - c1), abs(y2 - c2), abs(y3 - c3), abs(y4 - c4)):
-        if d > d_max:
-            d_max = d
+    # compared in turn: min() of many floats costs more
     separation = abs(y0 - y1)
     for s in (abs(y0 - y2), abs(y0 - y3), abs(y0 - y4), abs(y1 - y2),
               abs(y1 - y3), abs(y1 - y4), abs(y2 - y3), abs(y2 - y4),
               abs(y3 - y4)):
         if s < separation:
             separation = s
-    if (ratio + 1) * d_max <= 0.5 * separation:
+    if margin <= 0.5 * separation:
         return b_new, xs_new, residual, separation
     for i, c in enumerate(xs_cur):
         d = abs(xs_new[i] - c)
@@ -385,30 +420,39 @@ def track_path(ts, b0, xs0, tol_residual, match_ratio, max_depth, budget,
     Raises :class:`TrackingError` once a segment needs halving deeper than
     ``max_depth`` or more than ``budget`` committed steps in total.
 
-    A failed step pushes its target and then its midpoint onto the
-    waypoint's stack, so the midpoint is tracked first, depth first.  Each
-    step's Newton starts from the secant prediction through the last two
-    committed points (see :func:`_try_step`); a failed step leaves that
-    history alone, and a loop's first step has none.  A
-    ``check(t_cur, t_target, result)`` that returns False fails a step the
-    kernel accepted, so the certificate, with a ``budget`` of math.inf,
-    bisects through the same loop.
+    A waypoint is one step unless that step fails.  A failed step pushes
+    its target onto the stack and tries its midpoint next, so a halved
+    segment is tracked depth first.  Each step's Newton starts from the
+    secant prediction through the last two committed points (see
+    :func:`_try_step`); a failed step leaves that history alone, and a
+    loop's first step has none.  A ``check(t_cur, t_target, result)`` that
+    returns False fails a step the kernel accepted, so the certificate,
+    with a ``budget`` of math.inf, bisects through the same loop.
+
+    Each step gets the last committed separation and the running minimum.
+    A step whose triangle bound lies at or above that minimum returns the
+    bound in place of its separation (see :func:`_try_step`).  The bound is
+    at most the exact separation, so the minimum is the one every exact
+    separation would give.  The first step has no separation to carry and
+    passes 0, so it computes its own exactly.
     """
     b_cur = b_prev = complex(b0)
     xs_cur = xs_prev = [complex(x) for x in xs0]
     b_entry, xs_entry = b_cur, tuple(xs_cur)
     t_cur = complex(ts[0])
     max_residual = 0.0
-    min_separation = float("inf")
+    min_separation = math.inf
+    separation = 0.0
     steps_used = 0
     max_halving_depth = 0
+    stack = []                  # targets a halved segment has still to reach
 
     for k in range(1, len(ts)):
-        stack = [(complex(ts[k]), 0)]
-        while stack:
-            t_target, depth = stack.pop()
+        t_target, depth = complex(ts[k]), 0
+        while True:
             result = _try_step(t_target, b_cur, xs_cur, b_prev, xs_prev,
-                               tol_residual, match_ratio)
+                               tol_residual, match_ratio, separation,
+                               min_separation)
             if check is not None and result is not None \
                     and not check(t_cur, t_target, result):
                 result = None
@@ -417,8 +461,9 @@ def track_path(ts, b0, xs0, tol_residual, match_ratio, max_depth, budget,
                     raise TrackingError(
                         "collision floor breached: segment halved "
                         f"{max_depth} times near t={t_target}")
-                stack.append((t_target, depth + 1))
-                stack.append((0.5 * (t_cur + t_target), depth + 1))
+                depth += 1
+                stack.append((t_target, depth))
+                t_target = 0.5 * (t_cur + t_target)
                 continue
             steps_used += 1
             if steps_used > budget:
@@ -434,6 +479,9 @@ def track_path(ts, b0, xs0, tol_residual, match_ratio, max_depth, budget,
                 min_separation = separation
             if depth > max_halving_depth:
                 max_halving_depth = depth
+            if not stack:
+                break
+            t_target, depth = stack.pop()
         if k == entry:
             b_entry, xs_entry = b_cur, tuple(xs_cur)
     return (b_cur, tuple(xs_cur), max_residual, min_separation, steps_used,

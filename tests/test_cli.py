@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from bringcover import cells, cli, cover, monodromy, perms, tracking, verify
 from bringcover.cli import _TRACKING_FLAGS, build_parser, main
-from bringcover.tracking import DEFAULT_STEPS, TrackingConfig
+from bringcover.tracking import DEFAULT_STEPS, MAX_STEPS, TrackingConfig
 
 from oracles import dessin_from_text, parse_cycle_string
 
@@ -243,6 +243,25 @@ def test_steps_help_gives_the_default(capsys):
         text = " ".join(capsys.readouterr().out.split())
         assert f"waypoints per loop circle (default {TrackingConfig().steps})" \
             in text
+
+
+@pytest.mark.parametrize("command", [
+    ["verify-all"], ["monodromy"], ["cells"],
+    ["export", "--target", "D", "--path", os.devnull],
+])
+def test_steps_above_the_bound_exit_2(capsys, command):
+    # one more than MAX_STEPS exits before any contour is built; a billion
+    # steps would have asked for tens of gigabytes of waypoints
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--steps", str(MAX_STEPS + 1)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: steps must be at most {MAX_STEPS}, " \
+        f"got {MAX_STEPS + 1}\n"
+    with pytest.raises(SystemExit):
+        main([command[0], "--help"])
+    assert f"at most {MAX_STEPS}" in " ".join(capsys.readouterr().out.split())
 
 
 def test_monodromy_too_coarse_exits_1(capsys):

@@ -193,7 +193,9 @@ def test_no_module_imports_typing():
 def test_cli_takes_only_the_config_from_tracking():
     # the rule for a loop geometry that can be tracked lives in
     # TrackingConfig; the CLI builds one and reports what it raises, and
-    # reads only the default steps for its help text
+    # reads only the default steps for its help text and MAX_STEPS, its
+    # bound on --steps, which a config cannot hold: the doubling row's
+    # config at twice the steps is a config too
     taken = []
     for node in ast.walk(ast.parse((SRC / "cli.py").read_text())):
         if isinstance(node, ast.ImportFrom):
@@ -204,7 +206,7 @@ def test_cli_takes_only_the_config_from_tracking():
                 assert "tracking" not in (a.name for a in node.names)
         elif isinstance(node, ast.Import):
             assert "bringcover.tracking" not in (a.name for a in node.names)
-    assert sorted(taken) == ["DEFAULT_STEPS", "TrackingConfig",
+    assert sorted(taken) == ["DEFAULT_STEPS", "MAX_STEPS", "TrackingConfig",
                              "TrackingError"]
 
 

@@ -2,7 +2,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bringcover import certify, monodromy, tracking
@@ -607,19 +607,41 @@ def test_track_path_matches_reference(puncture, base_t, branch,
         assert got[:5] + got[6:] == want
 
 
+def _separation(xs):
+    return min(abs(xs[i] - xs[j]) for i in range(5) for j in range(i + 1, 5))
+
+
+def assert_step_matches_reference(result, want, floor):
+    """``result`` of _try_step is ``want`` of the reference, but for a
+    separation the carried bound may lower to no less than ``floor``."""
+    if result is None or want is None:
+        assert result == want
+        return
+    assert result[:3] == want[:3]
+    assert result[3] == want[3] or floor <= result[3] <= want[3]
+
+
 @settings(max_examples=200, deadline=None)
 @given(t_re=st.floats(-1.5, 2.5), t_im=st.floats(-1.5, 1.5),
        branch=st.integers(0, 3),
        step=st.complex_numbers(max_magnitude=1.5),
        back=st.none() | st.complex_numbers(max_magnitude=0.5),
        ratio=st.floats(2.0, 5.0),
-       tol=st.sampled_from([1e-10, 1e-14, 0.0]))
+       tol=st.sampled_from([1e-10, 1e-14, 0.0]),
+       carry=st.none() | st.tuples(st.floats(0, 1), st.floats(0, 1)))
+# a step that does not move, with no history and no carried separation:
+# the defaults must force the exact separation, where a default floor of 0
+# returned the bound 0 - 2 * 0 = 0
+@example(t_re=0.5, t_im=0.0, branch=0, step=0j, back=None, ratio=3.0,
+         tol=1e-10, carry=None)
 def test_try_step_matches_reference(t_re, t_im, branch, step, back, ratio,
-                                    tol):
+                                    tol, carry):
     # long steps fail the branch or the match test; tol=0 stalls Newton; a
     # step with history predicts from an earlier t_cur - back, whose roots
     # are paired with the current ones by nearness (a far or zero back, or
-    # another branch, gives a poor or a zero secant)
+    # another branch, gives a poor or a zero secant); a carry (a, f) passes
+    # the old separation scaled by a, a lower bound, and f times that as the
+    # running minimum
     t_cur = complex(t_re, t_im)
     t_target = t_cur + step
     assume(min(abs(t_cur), abs(t_target), abs(t_cur - 1)) > 1e-3)
@@ -634,7 +656,14 @@ def test_try_step_matches_reference(t_re, t_im, branch, step, back, ratio,
         roots_prev = roots5(1.0, b_prev)
         xs_prev = [min(roots_prev, key=lambda p: abs(p - c)) for c in xs_cur]
     args = (t_target, b_cur, xs_cur, b_prev, xs_prev, tol, ratio)
-    assert _try_step(*args) == reference_try_step(*args)
+    want = reference_try_step(*args)
+    if carry is None:
+        assert _try_step(*args) == want
+        return
+    sep_cur = carry[0] * _separation(xs_cur)
+    floor = carry[1] * sep_cur
+    assert_step_matches_reference(_try_step(*args, sep_cur, floor), want,
+                                  floor)
 
 
 @pytest.mark.parametrize("ratio", [math.nan, math.inf, 0.5])
@@ -668,6 +697,18 @@ def test_config_rejects_base_point_outside_unit_interval(base_t):
         TrackingConfig(base_t=base_t)
 
 
+def test_steps_bound_leaves_the_doubling_buildable():
+    # a loop takes at most 2 * MAX_STEPS steps, the doubling row's
+    # resolution at the most a run may ask for; no contour is built here
+    top = TrackingConfig(steps=tracking.MAX_STEPS)
+    assert top.with_steps(2 * top.steps).steps == 2 * tracking.MAX_STEPS
+    for make in (lambda n: TrackingConfig(steps=n),
+                 lambda n: top.with_steps(n),
+                 lambda n: loop_spec(CFG, 0)._replace(steps=n)):
+        with pytest.raises(ValueError, match="at most 2097152,"):
+            make(2 * tracking.MAX_STEPS + 1)
+
+
 def _recorded_steps(monkeypatch, cfg):
     """Every _try_step call of the three loops of ``cfg``, with its result."""
     calls = []
@@ -687,26 +728,81 @@ def _recorded_steps(monkeypatch, cfg):
 
 def test_try_step_outcomes_match_reference(monkeypatch):
     # with a ratio of 8 at 32 steps per circle the contours take steps the
-    # separation bound accepts, steps only the 20-distance test accepts,
-    # and steps that are halved, all but each loop's first with a secant
-    # history
+    # carried bound accepts, steps the separation bound accepts, steps only
+    # the 20-distance test accepts, and steps that are halved, all but each
+    # loop's first with a secant history; the kernel passes 9 arguments,
+    # the old separation and the running minimum after the reference's 7
     cfg = HALVING_CFG
-    seen = {"bound": 0, "full test": 0, "rejected": 0}
+    seen = {"carried": 0, "bound": 0, "full test": 0, "rejected": 0}
     calls = _recorded_steps(monkeypatch, cfg)
     no_history = [args for args, _ in calls if args[1] == args[3]]
     assert len(no_history) == 3
     for args, result in calls:
-        assert result == reference_try_step(*args)
+        want = reference_try_step(*args[:7])
+        assert_step_matches_reference(result, want, args[8])
         if result is None:
             seen["rejected"] += 1
-            continue
-        xs_cur, xs_new, separation = args[2], result[1], result[3]
-        d_max = max(abs(y - c) for y, c in zip(xs_new, xs_cur))
-        if (cfg.tol_match_ratio + 1) * d_max <= 0.5 * separation:
+        elif result[3] != want[3]:
+            seen["carried"] += 1
+        elif (cfg.tol_match_ratio + 1) * max(
+                abs(y - c) for y, c in zip(result[1], args[2])) \
+                <= 0.5 * result[3]:
             seen["bound"] += 1
         else:
             seen["full test"] += 1
     assert all(seen.values()), seen
+
+
+def test_track_path_matches_reference_at_1024_steps(monkeypatch):
+    # at 1024 steps per circle the carried bound decides about half the
+    # steps, where at 256 it decides one in three and at 32 one in ten
+    cfg = TrackingConfig(steps=1024)
+    taken = carried = 0
+    real = tracking._try_step
+
+    def recorder(*args):
+        nonlocal taken, carried
+        result = real(*args)
+        if result is not None:
+            taken += 1
+            carried += result[3] != _separation(result[1])
+        return result
+
+    for p in (0, 1, "inf"):
+        b0, xs0, ts, entry = tracking.loop_start(loop_spec(cfg, p), cfg)
+        budget = cfg.budget(len(ts) - 1)
+        args = (ts, b0, xs0, cfg.tol_residual, cfg.tol_match_ratio,
+                tracking.MAX_DEPTH, budget)
+        monkeypatch.setattr(tracking, "_try_step", recorder)
+        got = track_path(*args, None, entry)
+        monkeypatch.undo()
+        want = reference_track_path(*args, entry)
+        assert got[5] == 0
+        assert got[:5] + got[6:] == want
+    assert carried >= 0.4 * taken, (carried, taken)
+
+
+def test_carried_bound_takes_both_roots_motion():
+    # the two nearest old roots each lie d = s / 20 beyond their new roots,
+    # on the line through them: the old separation is s + 2d and the new
+    # one s, so a bound of sep_cur - d_max would return s + d, above it
+    t = 0.5 + 0.2j
+    b = b_from_t(t, 0)
+    ys = list(roots5(1.0, b))
+    s, i, j = min((abs(ys[i] - ys[j]), i, j)
+                  for i in range(5) for j in range(i + 1, 5))
+    u = (ys[j] - ys[i]) / s
+    xs = list(ys)
+    xs[i] -= s / 20 * u
+    xs[j] += s / 20 * u
+    sep_cur = _separation(xs)
+    assert sep_cur == abs(xs[i] - xs[j])
+    result = _try_step(t, b, xs, b, xs, 1e-10, 3.0, sep_cur, 0.0)
+    want = reference_try_step(t, b, xs, b, xs, 1e-10, 3.0)
+    assert result[:3] == want[:3]
+    # the bound decided the step, and lies below the exact separation
+    assert 0 < result[3] < want[3] == _separation(want[1])
+    assert want[3] - result[3] < 1e-9 * s
 
 
 def test_try_step_rejects_between_bound_and_ratio():
