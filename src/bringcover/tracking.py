@@ -182,7 +182,8 @@ class LoopSpec(namedtuple("LoopSpec", (
             raise ValueError(f"unknown puncture {puncture!r}")
         if base_t in (0, 1):
             raise ValueError("base point must avoid the punctures")
-        # a float count would fail only mid-track, in range()
+        # a float count would fail only mid-track, in range(), and a huge
+        # one would build its contour before anything failed
         if not (isinstance(steps, int) and 4 <= steps <= 2 * MAX_STEPS):
             raise ValueError("need an int of at least 4 steps on the circle "
                              f"and at most {2 * MAX_STEPS}, got {steps!r}")
