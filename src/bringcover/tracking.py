@@ -4,13 +4,32 @@ The value plane has punctures 0, 1 and infinity.  Loops are based at a
 real point between 0 and 1: the finite loops walk along the real axis to
 a small circle around their puncture, the infinity loop climbs straight
 up to a large circle, and every circle runs counter-clockwise.  Each
-loop is a lasso, the tail out to the circle's entry point and the circle
-back to it: a loop T C T^-1 permutes the roots as C does in the labels
-carried along T.  Tracking continues the coefficient branch and the five
-quintic roots along the polyline; where the circle closes the roots are
-rescaled by the exact fourth root of unity that returns the coefficient
-to its value at the entry, and matched to the roots tracked there, which
-is the loop's permutation.
+contour is a lasso, the tail out to the circle's entry point and the
+circle back to it: a loop T C T^-1 permutes the roots as C does in the
+labels carried along T.  Tracking continues the coefficient branch and
+the five quintic roots along the polyline.  The infinity loop is tracked
+as its lasso: where the circle closes the roots are rescaled by the
+fourth root of unity that returns the coefficient to its value at the
+entry, and matched to the roots tracked there, which is the loop's
+permutation.
+
+A finite loop is tracked only out to its circle's antipode M = 2p - entry,
+which is real, and closed by complex conjugation.  Its circle is centred
+on the real axis, so the second half is the mirror image of the first run
+backwards, and the loop is H conj(H)^-1 with H the path from the base
+point to M.  The proof of the closure, with eps = (-1)^branch:
+
+1. (t, b, x) -> (conj t, eps conj b, eps conj x) and (b, x) -> (i b, i x)
+   map solutions of x^5 + x + b = 0, b^4 = C (1 - t) / t to solutions, so
+   continuation commutes with both; the first fixes b on the real tail.
+2. So along conj(H) base root kappa[j] ends at eps conj y_j, with y_j the
+   end of root j along H and kappa the matching of eps conj x onto the
+   base roots, and the branch ends at eps conj b_M, which is b_M / i^m for
+   the m with i^m = b_M / (eps conj b_M): a fourth root of unity exactly,
+   as b_M^4 = w(M) is real.
+3. Walking conj(H) backwards from b_M, y_j is i^m eps conj y_sigma[j] for
+   sigma the matching of eps conj(i^-m y) onto the roots at M, and ends at
+   i^m times base root kappa[sigma[j]]: pi = kappa . sigma, lam = i^m.
 
 The continuation loop (:func:`track_path`) is the package's one tracking
 kernel, in plain Python: it continues the fourth-root branch b(t) of
@@ -19,8 +38,9 @@ waypoints.  A step is accepted when Newton converges and every new root
 is ``tol_match_ratio`` times nearer its own old root than any other old
 root (a nearest/next-nearest ratio test, not a certificate); otherwise it
 is halved.  :func:`track_loop` is the one loop-level entry; :mod:`certify`
-starts at :func:`loop_start` and walks the kernel itself, with a check
-that fails every step its Rouché tests do not prove.  Both halve a segment
+starts at :func:`loop_start` and walks the kernel itself over every full
+lasso, with a check that fails every step its Rouché tests do not prove,
+so it tests the closure against independent walks.  Both halve a segment
 at most :data:`MAX_DEPTH` times, and a tracked loop spends at most
 :meth:`TrackingConfig.budget` steps: the limits are module constants.
 
@@ -39,6 +59,7 @@ from functools import lru_cache
 from .quintic import BRANCH_SCALE, b_from_t, roots5
 
 _I_TURNS = (1j, -1 - 0j, -1j)         # the fourth roots of unity but 1
+_I_POWERS = (1 + 0j, 1j, -1 + 0j, 0 - 1j)  # i^m by m, no negative zero
 _NEWTON_CAP = 60
 _NEWTON_ITERS = range(_NEWTON_CAP - 2)  # after the first two, one range
 # the relative slack taken off the triangle bound on a step's separation,
@@ -180,8 +201,13 @@ class LoopSpec(namedtuple("LoopSpec", (
     def __new__(cls, puncture, base_t: complex, radius: float, steps: int):
         if puncture not in (0, 1, "inf"):
             raise ValueError(f"unknown puncture {puncture!r}")
-        if base_t in (0, 1):
-            raise ValueError("base point must avoid the punctures")
+        # TrackingConfig's rule: off (0, 1) a finite loop's tail runs
+        # through the other finite puncture, and off the real axis its
+        # circle is no longer its own mirror image
+        t0 = complex(base_t)
+        if not (t0.imag == 0 and 0 < t0.real < 1):
+            raise ValueError("base point must be real and lie strictly "
+                             f"between 0 and 1, got {base_t!r}")
         # a float count would fail only mid-track, in range(), and a huge
         # one would build its contour before anything failed
         if not (isinstance(steps, int) and 4 <= steps <= 2 * MAX_STEPS):
@@ -266,12 +292,16 @@ def contour(spec: LoopSpec) -> list:
 
 class TrackResult(namedtuple("TrackResult", (
         "pi",                 # degree-5 permutation: root j lands on pi[j]
-        "lam",                # raw ratio b_end / b_start
+        "lam",                # b_end / b_entry of the infinity lasso; of a
+                              # finite loop, i^lam_power exactly
         "lam_power",          # lam is the lam_power-th power of i
         "max_residual",
         "min_separation",
         "steps_used",
-        "waypoints",          # len(contour) - 1: steps_used without halving
+        # the segments walked, steps_used without halving: len(contour) - 1
+        # for the infinity lasso; a finite loop walks its lasso only to the
+        # circle's antipode and closes by conjugation, n_tail + ceil(steps/2)
+        "waypoints",
         "max_halving_depth",  # deepest halving level that committed a step
 ))):
     __slots__ = ()
@@ -506,42 +536,79 @@ def loop_start(spec: LoopSpec, cfg: TrackingConfig) -> tuple:
             ts.index(ts[-1]))
 
 
+def _power_of_i(q: complex) -> int:
+    """The m whose i^m is nearest q, picked by quadrant as in
+    :func:`_try_step`."""
+    if q.real > q.imag:
+        return 0 if q.real > -q.imag else 3
+    return 1 if q.real > -q.imag else 2
+
+
+def _match(src, dst, ratio: float) -> tuple:
+    """For each point of ``src`` the index of the nearest point of ``dst``,
+    which must be ``ratio`` times nearer than the next and distinct from
+    the others' nearest."""
+    pi = []
+    for z in src:
+        (d1, i1), (d2, _) = sorted((abs(z - x), i)
+                                   for i, x in enumerate(dst))[:2]
+        if d1 * ratio > d2 or i1 in pi:
+            raise TrackingError("final root matching ambiguous")
+        pi.append(i1)
+    return tuple(pi)
+
+
 def track_loop(spec: LoopSpec, cfg: TrackingConfig) -> TrackResult:
     """Track one loop and return its root permutation with diagnostics.
 
     It takes exactly (spec, cfg), from which perfbench's tracer names its
-    spans.  It reads the roots at the lasso's entry, and fails unless the
-    branch closes within ``tol_lambda`` and the final roots match those by
-    the ratio test.
+    spans.  The infinity loop walks its lasso, and fails unless the branch
+    closes within ``tol_lambda`` of a fourth root of unity times its value
+    at the entry and the rescaled final roots match the entry roots by the
+    ratio test.  A finite loop walks the lasso's waypoints up to its
+    circle's antipode M = 2p - entry, then M itself, and is closed by
+    complex conjugation (see the module docstring): it fails unless the
+    roots at M match their rotated mirror images, and the entry roots
+    theirs, by the ratio test.  Either walk may halve as often as the
+    closed contour's budget allows beyond its waypoints.
     """
     b0, xs0, ts, entry = loop_start(spec, cfg)
+    closed = len(ts) - 1 + entry
+    allowance = cfg.budget(closed) - closed
+    if spec.puncture != "inf":
+        # the circle's first half, to the exactly real antipode
+        ts = ts[:entry + (len(ts) - entry) // 2]
+        ts.append(2 * spec.puncture - ts[entry])
     waypoints = len(ts) - 1
-    # the closed contour's budget less its way back: the same halvings
     (b_end, xs_end, max_residual, min_sep, steps_used, depth,
      b_entry, xs_entry) = track_path(
         ts, b0, xs0, cfg.tol_residual, cfg.tol_match_ratio, MAX_DEPTH,
-        cfg.budget(waypoints + entry) - entry, entry=entry)
+        waypoints + allowance, entry=entry)
 
-    lam = b_end / b_entry
-    k_best = min(range(4), key=lambda k: abs(lam - 1j**k))
-    if abs(lam - 1j**k_best) > cfg.tol_lambda:
-        raise TrackingError(
-            f"branch drift {lam} is not a fourth root of unity "
-            f"within {cfg.tol_lambda}")
-    mu = 1j ** (-k_best % 4)
-
-    # nearest-point matching of the rescaled final roots to the entry ones
-    pi = []
-    for z in xs_end:
-        (d1, i1), (d2, _) = sorted((abs(mu * z - x), i)
-                                   for i, x in enumerate(xs_entry))[:2]
-        if d1 * cfg.tol_match_ratio > d2 or i1 in pi:
-            raise TrackingError("final root matching ambiguous")
-        pi.append(i1)
+    ratio = cfg.tol_match_ratio
+    if spec.puncture == "inf":
+        lam = b_end / b_entry
+        power = min(range(4), key=lambda k: abs(lam - _I_POWERS[k]))
+        if abs(lam - _I_POWERS[power]) > cfg.tol_lambda:
+            raise TrackingError(
+                f"branch drift {lam} is not a fourth root of unity "
+                f"within {cfg.tol_lambda}")
+        mu = _I_POWERS[-power % 4]
+        pi = _match([mu * z for z in xs_end], xs_entry, ratio)
+    else:
+        eps = (-1) ** cfg.branch
+        power = _power_of_i(b_end / (eps * b_end.conjugate()))
+        lam = _I_POWERS[power]
+        mu = _I_POWERS[-power % 4]
+        sigma = _match([eps * (mu * y).conjugate() for y in xs_end],
+                       xs_end, ratio)
+        kappa = _match([eps * x.conjugate() for x in xs_entry],
+                       xs_entry, ratio)
+        pi = tuple(kappa[j] for j in sigma)
     return TrackResult(
-        pi=tuple(pi),
+        pi=pi,
         lam=lam,
-        lam_power=k_best,
+        lam_power=power,
         max_residual=max_residual,
         min_separation=min_sep,
         steps_used=steps_used,

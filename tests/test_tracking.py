@@ -235,6 +235,13 @@ def test_loop_spec_validation():
         LoopSpec(puncture=2, base_t=0.5, radius=0.1, steps=64)
     with pytest.raises(ValueError):
         LoopSpec(puncture=0, base_t=1, radius=0.1, steps=64)
+    # off (0, 1) the tail runs through the other finite puncture, and off
+    # the real axis the circle is not its own mirror image: both are
+    # refused as TrackingConfig refuses them, not mid-track
+    for base_t in (2.0, -0.5, 0, math.nan, 0.5 + 0.1j, 0.5 - 1e-300j):
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            LoopSpec(0, base_t, 0.25, 32)
+    LoopSpec(0, 0.5 + 0j, 0.25, 32)
     with pytest.raises(ValueError):
         LoopSpec(puncture=0, base_t=0.5, radius=0.1, steps=2)
     for radius in (math.nan, 0.0, -0.25):
@@ -389,7 +396,9 @@ def test_zero_move_step_has_no_secant():
 def test_repeated_waypoints_keep_the_permutation(monkeypatch):
     # every waypoint twice: each loop commits twice its steps, the
     # permutations are those recorded from the tracker that started Newton
-    # at the old roots, and the halving count is the lasso's
+    # at the old roots, and the halving count is the lasso's.  A finite
+    # loop walks the doubled lasso to its circle's antipode: 15 tail
+    # waypoints and 33 of the circle's 65, the antipode included
     real = tracking.contour
     monkeypatch.setattr(tracking, "contour",
                         lambda spec: [t for t in real(spec)
@@ -400,7 +409,7 @@ def test_repeated_waypoints_keep_the_permutation(monkeypatch):
         for p, pi in pinned.items():
             res = track_loop(loop_spec(cfg, p), cfg)
             assert res.pi == pi
-            assert res.waypoints == 80
+            assert res.waypoints == (80 if p == "inf" else 48)
             assert res.steps_used - res.waypoints == \
                 (halvings if p == "inf" else 0)
 
@@ -410,12 +419,14 @@ def test_repeated_waypoints_keep_the_permutation(monkeypatch):
        base_t=st.floats(0.3, 0.7),
        branch=st.integers(0, 3),
        radius_factor=st.floats(0.7, 1.3),
-       steps=st.sampled_from([8, 16, 32, 64, 256]),
+       # at an odd count the antipode falls mid-edge
+       steps=st.sampled_from([8, 9, 16, 32, 33, 64, 255, 256]),
        ratio=st.floats(2.0, 8.0))
 def test_lasso_matches_the_closed_contour(puncture, base_t, branch,
                                           radius_factor, steps, ratio):
-    # wherever the closed contour tracks, the lasso tracks too and reads
-    # the same permutation at the entry point; the certificate proves it
+    # wherever the closed contour tracks, the lasso (the infinity loop) or
+    # the conjugation closure (a finite loop) tracks too and reads the same
+    # permutation and power of i; the certificate proves it
     try:
         cfg = TrackingConfig(base_t=base_t, branch=branch, steps=steps,
                              radius0=0.25 * radius_factor,
@@ -434,6 +445,64 @@ def test_lasso_matches_the_closed_contour(puncture, base_t, branch,
     assert res.pi == certify.certify(cfg)[puncture].pi
     if not isinstance(want, str):
         assert (res.pi, res.lam_power) == want[:2]
+
+
+@pytest.mark.parametrize("steps", [4, 9, 32, 33, 1024])
+@pytest.mark.parametrize("puncture", [0, 1])
+def test_finite_loop_walks_to_the_real_antipode(monkeypatch, puncture,
+                                                steps):
+    # the path a finite loop walks is the contour's prefix through the
+    # first half of the circle, then the antipode 2p - entry, exactly real:
+    # built from tracking.contour, so a rebinding of it sees every loop
+    contours, paths = [], []
+    real_contour, real_track_path = tracking.contour, tracking.track_path
+
+    def recorded_contour(spec):
+        contours.append(real_contour(spec))
+        return contours[-1]
+
+    def recorded_track_path(ts, *args, **kwargs):
+        paths.append(ts)
+        return real_track_path(ts, *args, **kwargs)
+
+    monkeypatch.setattr(tracking, "contour", recorded_contour)
+    monkeypatch.setattr(tracking, "track_path", recorded_track_path)
+    cfg = TrackingConfig(steps=steps)
+    track_loop(loop_spec(cfg, puncture), cfg)
+    (ts,), (path,) = contours, paths
+    entry = ts.index(ts[-1])
+    assert path[:-1] == ts[:entry + math.ceil(steps / 2)]
+    assert path[-1].imag == 0
+    assert path[-1] == 2 * puncture - ts[entry]
+
+
+def _mirror_of_base_roots(cfg):
+    """kappa: the base root eps conj(x_j) is, eps = (-1)^branch."""
+    b0, xs0, *_ = tracking.loop_start(loop_spec(cfg, 0), cfg)
+    eps = (-1) ** cfg.branch
+    assert eps * b0.conjugate() == b0
+    return tuple(min(range(5),
+                     key=lambda i: abs(eps * x.conjugate() - xs0[i]))
+                 for x in xs0)
+
+
+@pytest.mark.parametrize("branch", range(4))
+def test_conjugation_inverts_the_finite_loops(branch):
+    # complex conjugation fixes the real tail's branch and permutes the
+    # base roots by kappa, a double transposition (one base root lies on
+    # the mirror line); each finite loop is its own mirror image run
+    # backwards, so kappa pi kappa = pi^-1 for the closed contour's pi, and
+    # the conjugation closure reads that pi.  The infinity loop is not its
+    # own mirror image: its transposition is not inverted by kappa
+    cfg = TrackingConfig(branch=branch)
+    kappa = _mirror_of_base_roots(cfg)
+    assert cycle_type(kappa) == (2, 2, 1)
+    for p in (0, 1, "inf"):
+        spec = loop_spec(cfg, p)
+        pi = closed_reference_loop(spec, cfg)[0]
+        inverted = compose(compose(kappa, pi), kappa) == inverse(pi)
+        assert inverted == (p != "inf")
+        assert track_loop(spec, cfg).pi == pi
 
 
 def test_forked_triple_matches_the_closed_contours(triple):
@@ -560,11 +629,15 @@ def test_contour_circle_matches_reference(puncture, steps):
 
 def test_diagnostics_without_halving():
     steps = TrackingConfig().steps
-    for res in monodromy_triple(TrackingConfig()).loops.values():
+    n_tail = max(8, steps // 8)
+    loops = monodromy_triple(TrackingConfig()).loops
+    for res in loops.values():
         diag = res.diagnostics()
         assert diag["max_halving_depth"] == 0
         assert diag["steps_used"] == diag["waypoints"]
-        assert res.waypoints == steps + max(8, steps // 8)
+    assert loops["inf"].waypoints == n_tail + steps
+    # a finite loop walks its circle only to the antipode
+    assert loops[0].waypoints == loops[1].waypoints == n_tail + steps // 2
 
 
 def test_diagnostics_report_halving():
@@ -710,7 +783,8 @@ def test_steps_bound_leaves_the_doubling_buildable():
 
 
 def _recorded_steps(monkeypatch, cfg):
-    """Every _try_step call of the three loops of ``cfg``, with its result."""
+    """Every _try_step call of walks of the three full lassos of ``cfg``,
+    with the loops' budgets, and its result."""
     calls = []
     real = tracking._try_step
 
@@ -721,7 +795,10 @@ def _recorded_steps(monkeypatch, cfg):
 
     monkeypatch.setattr(tracking, "_try_step", recorder)
     for p in (0, 1, "inf"):
-        track_loop(loop_spec(cfg, p), cfg)
+        b0, xs0, ts, entry = tracking.loop_start(loop_spec(cfg, p), cfg)
+        track_path(ts, b0, xs0, cfg.tol_residual, cfg.tol_match_ratio,
+                   tracking.MAX_DEPTH, cfg.budget(len(ts) - 1 + entry) - entry,
+                   entry=entry)
     monkeypatch.undo()
     return calls
 
@@ -856,8 +933,8 @@ def test_try_step_rejects_when_only_one_root_fails(i):
     assert _try_step(0.5, b, xs, b, xs, 1e-10, 8.0) is None
 
 
-def _abs_calls_per_step(monkeypatch, steps):
-    """abs calls per committed step of the loop around 1."""
+def _abs_calls(monkeypatch, steps, puncture):
+    """(abs calls, committed steps) of one loop."""
     calls = 0
 
     def counting_abs(z):
@@ -867,24 +944,30 @@ def _abs_calls_per_step(monkeypatch, steps):
 
     monkeypatch.setattr(tracking, "abs", counting_abs, raising=False)
     cfg = TrackingConfig(steps=steps)
-    res = track_loop(loop_spec(cfg, 1), cfg)
-    return calls / res.steps_used
+    res = track_loop(loop_spec(cfg, puncture), cfg)
+    monkeypatch.undo()
+    return calls, res.steps_used
 
 
 def test_step_work_guard(monkeypatch):
-    # the separation bound decides every step of the loop around 1, so a
+    # the separation bound decides every step of the infinity lasso, so a
     # committed step computes 15 root distances, not 35, and 2 for the
     # branch, whose quarter turn the quadrant picks; at 1024 steps per
     # circle the secant start leaves each root one Newton update, two abs
     # calls with no separate residual, 10 in all; on about half the steps
-    # the carried bound spares the ten pairwise distances, 23 on average
-    assert _abs_calls_per_step(monkeypatch, 1024) <= 25
+    # the carried bound spares the ten pairwise distances, 22 on average
+    calls, steps_used = _abs_calls(monkeypatch, 1024, "inf")
+    assert calls / steps_used <= 25
+    # the loop around 1 walks its circle only to the antipode: about 17,200
+    # abs calls, where its whole lasso took about 26,600
+    assert _abs_calls(monkeypatch, 1024, 1)[0] <= 18_500
 
 
 def test_step_work_guard_at_the_default(monkeypatch):
-    # the same guard at the default resolution, where Newton needs more
-    # iterations per step: about 16 abs calls besides the 17 above
-    assert _abs_calls_per_step(monkeypatch, DEFAULT_STEPS) <= 35
+    # the loop around 1 at the default resolution, where Newton needs more
+    # iterations per step: about 830 abs calls for its 24 steps and the
+    # two closing matches, where its whole lasso took about 1,260
+    assert _abs_calls(monkeypatch, DEFAULT_STEPS, 1)[0] <= 900
 
 
 # ------------------------------------------------------------ base point
