@@ -477,7 +477,8 @@ def test_finite_loop_walks_to_the_real_antipode(monkeypatch, puncture,
 
 
 def _mirror_of_base_roots(cfg):
-    """kappa: the base root eps conj(x_j) is, eps = (-1)^branch."""
+    """kappa[j], the index of the base root nearest eps conj(x_j), with
+    eps = (-1)^branch."""
     b0, xs0, *_ = tracking.loop_start(loop_spec(cfg, 0), cfg)
     eps = (-1) ** cfg.branch
     assert eps * b0.conjugate() == b0
@@ -950,8 +951,8 @@ def _abs_calls(monkeypatch, steps, puncture):
 
 
 def test_step_work_guard(monkeypatch):
-    # the separation bound decides every step of the infinity lasso, so a
-    # committed step computes 15 root distances, not 35, and 2 for the
+    # the separation bound decides nearly every step of the infinity lasso,
+    # so a committed step computes 15 root distances, not 35, and 2 for the
     # branch, whose quarter turn the quadrant picks; at 1024 steps per
     # circle the secant start leaves each root one Newton update, two abs
     # calls with no separate residual, 10 in all; on about half the steps
