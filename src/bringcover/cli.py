@@ -58,7 +58,9 @@ _TRACKING_FLAGS = {
     "radius_inf": {"type": float},
     "tol_residual": {"type": float},
     "tol_match_ratio": {"type": float},
-    "tol_lambda": {"type": float},
+    "tol_lambda": {"type": float,
+                   "help": "a finite number > 0, echoed in the report; it "
+                           "gates no loop, each closed by conjugation"},
 }
 
 # the modules --only accepts, verify.MODULES written out so that building

@@ -7,31 +7,24 @@ representation.  The three loop permutations must have cycle types
 (5), (4) and (2,1,1,1) and generate the full symmetric group.
 
 The contours fix one relation.  Every loop is based at t0 in (0, 1) and
-every circle runs counter-clockwise.  The infinity loop is tracked as a
-lasso, tail out and circle, and its permutation read where the circle
-closes, in the base labels the tail carried out.  A finite loop is
-tracked out to its circle's real antipode M only, and closed exactly by
-complex conjugation (:mod:`tracking`), with eps = (-1)^branch:
-
-1. continuation commutes with (t, b, x) -> (conj t, eps conj b,
-   eps conj x), which fixes the real tail's branch and maps the walk to
-   the circle's second half run backwards, and with (b, x) -> (i b, i x);
-2. so the mirror walk takes base root kappa[j] to eps conj y_j, y_j the
-   end of root j, and the branch to eps conj b_M = b_M / i^m, a fourth
-   root of unity exactly since b_M^4 is real;
-3. run backwards from b_M it takes y_j = i^m eps conj y_sigma[j] to i^m
-   times base root kappa[sigma[j]]: pi = kappa . sigma, lam = i^m.
-
-The certificate (:mod:`certify`) walks every full lasso, and the
-infinity loop is one, so ``tracked_equals_certified`` and the relation
-below test the closure against independent full loops.  Cut along
-Re t = t0, which its tail climbs and which misses both punctures, the
-infinity loop is the loop around 0 followed by the loop around 1, so its
-direct track is compose(pi1, pi0) at every valid geometry and branch (a
-branch conjugates all three by one relabeling of the roots).  That track
-is a transposition, its own inverse, so it is also the pi_inf of the
+every circle runs counter-clockwise.  No loop is tracked whole: each walk
+runs from the base point to a real point and is closed exactly by complex
+conjugation (:mod:`tracking` has the proof).  A finite loop walks out to
+its circle's real antipode.  Cut along Re t = t0, which the infinity
+loop's tail climbs and which misses both punctures, the infinity loop is
+the loop around 0 followed by the loop around 1.  Its first walk runs the
+tail and the upper arc counter-clockwise to -R and closes as the loop
+around 0; its second, from the entry, runs the upper arc clockwise to +R
+and closes as the inverse of the loop around 1.  So its direct track is
+compose(pi1, pi0) at every valid geometry and branch (a branch conjugates
+all three by one relabeling of the roots).  That track is a
+transposition, its own inverse, so it is also the pi_inf of the
 constellation's product relation pi_inf . pi1 . pi0 = 1 (Lando and
-Zvonkin 2004), and :func:`monodromy_triple` requires exactly that.
+Zvonkin 2004), and :func:`monodromy_triple` requires exactly that of the
+three loops tracked on their own.  The certificate (:mod:`certify`)
+walks every full lasso, the infinity loop's too, so
+``tracked_equals_certified`` tests the closures against independent
+full loops.
 
 The three loops are independent continuations.  From ``FORK_STEPS``
 steps per circle on, where a loop takes longer than a fork and join, and
@@ -69,15 +62,16 @@ from .perms import (
 from .tracking import TrackResult, TrackingConfig, loop_spec, track_loop
 
 # the resolution from which the loops around 0 and 1 are tracked in
-# forked children.  A finite loop, walked to its antipode, costs about
-# half of the infinity lasso.  In-process triples, forked against serial
-# (medians of 25 and 41 alternating runs, 2 vCPUs, shared machine): at
-# 256 steps 7.9-8.5 vs 5.9-7.2 ms wall, forked faster in 2/25 and 5/41;
-# at 512 10.5-10.7 vs 10.8-13.9 ms wall (13/25, 33/41) for 17.5-18.3 vs
-# 10.8-13.9 ms CPU; at 1024 17.8-18.4 vs 25.9-28.0 ms wall (23/25, 36/41)
-# for 31.1-31.6 vs 25.9-28.0 ms CPU.  512 is still the least power of two
-# at which the fork mostly wins on wall time
-FORK_STEPS = 512
+# forked children.  Each loop, both finite ones walked to the antipode
+# and the infinity loop walked to -R and +R, costs about the same.
+# In-process triples, forked against serial (medians of two sets of 41
+# alternating runs, 2 vCPUs, shared machine): at 256 steps 5.2-5.8 vs
+# 4.1-4.4 ms wall, forked faster in 5/41 and 1/41; at 512 7.3-7.6 vs
+# 6.9-7.3 ms wall (8/41, 12/41) for 11.4-12.5 vs 6.9-7.3 ms CPU; at 1024
+# 12.5-13.0 vs 14.6-18.0 ms wall (39/41, 38/41) for 21.1-21.3 vs
+# 14.6-18.0 ms CPU.  1024 is the least power of two at which the fork
+# mostly wins on wall time
+FORK_STEPS = 1024
 
 
 class MonodromyTriple(namedtuple("MonodromyTriple", (

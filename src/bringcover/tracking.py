@@ -7,21 +7,19 @@ up to a large circle, and every circle runs counter-clockwise.  Each
 contour is a lasso, the tail out to the circle's entry point and the
 circle back to it: a loop T C T^-1 permutes the roots as C does in the
 labels carried along T.  Tracking continues the coefficient branch and
-the five quintic roots along the polyline.  The infinity loop is tracked
-as its lasso: where the circle closes the roots are rescaled by the
-fourth root of unity that returns the coefficient to its value at the
-entry, and matched to the roots tracked there, which is the loop's
-permutation.
+the five quintic roots along the polyline.
 
-A finite loop is tracked only out to its circle's antipode M = 2p - entry,
-which is real, and closed by complex conjugation.  Its circle is centred
-on the real axis, so the second half is the mirror image of the first run
-backwards, and the loop is H conj(H)^-1 with H the path from the base
-point to M.  The proof of the closure, with eps = (-1)^branch:
+No loop is tracked whole: each walk H runs from the base point to a real
+point, and H conj(H)^-1 is closed by complex conjugation.  A finite
+loop's circle is centred on the real axis, so H is its lasso up to the
+antipode M = 2p - entry.  The infinity loop walks H0, the tail and the
+circle's upper arc counter-clockwise to -R, and H1, on from H0's state
+at the entry, the upper arc clockwise to +R.  The proof of a closure,
+with eps = (-1)^branch:
 
 1. (t, b, x) -> (conj t, eps conj b, eps conj x) and (b, x) -> (i b, i x)
    map solutions of x^5 + x + b = 0, b^4 = C (1 - t) / t to solutions, so
-   continuation commutes with both; the first fixes b on the real tail.
+   continuation commutes with both; the first fixes b at the base point.
 2. So along conj(H) base root kappa[j] ends at eps conj y_j, with y_j the
    end of root j along H and kappa the matching of eps conj x onto the
    base roots, and the branch ends at eps conj b_M, which is b_M / i^m for
@@ -30,6 +28,12 @@ point to M.  The proof of the closure, with eps = (-1)^branch:
 3. Walking conj(H) backwards from b_M, y_j is i^m eps conj y_sigma[j] for
    sigma the matching of eps conj(i^-m y) onto the roots at M, and ends at
    i^m times base root kappa[sigma[j]]: pi = kappa . sigma, lam = i^m.
+
+Cut along Re t = t0, the infinity loop is the loop around 0 and then
+the loop around 1.  H0 conj(H0)^-1 winds once round 0 alone, and closes
+as (pi0', m0); H1 conj(H1)^-1 winds once clockwise round 1 alone, and
+its closure (rho, m1) is that loop's inverse, pi1' = rho^-1.  So the
+infinity loop is pi = pi1' . pi0' with lam = i^(m0 - m1).
 
 The continuation loop (:func:`track_path`) is the package's one tracking
 kernel, in plain Python: it continues the fourth-root branch b(t) of
@@ -93,7 +97,8 @@ class TrackingConfig(namedtuple("TrackingConfig", (
         "base_t", "branch", "radius0", "radius1", "radius_inf", "steps",
         "tol_residual", "tol_match_ratio", "tol_lambda", "seed"))):
     """The loop geometry, the kernel's tolerances and the sampling seed
-    of the printed expression's deviation.
+    of the printed expression's deviation.  ``tol_lambda`` gates no loop,
+    each closed by conjugation, but is still validated and reported.
 
     Validated on construction, by ``_replace`` and ``with_steps`` too: a
     config that exists can be tracked.  Its ``steps`` may reach
@@ -292,15 +297,14 @@ def contour(spec: LoopSpec) -> list:
 
 class TrackResult(namedtuple("TrackResult", (
         "pi",                 # degree-5 permutation: root j lands on pi[j]
-        "lam",                # b_end / b_entry of the infinity lasso; of a
-                              # finite loop, i^lam_power exactly
+        "lam",                # i^lam_power exactly, read off the closures
         "lam_power",          # lam is the lam_power-th power of i
         "max_residual",
         "min_separation",
         "steps_used",
-        # the segments walked, steps_used without halving: len(contour) - 1
-        # for the infinity lasso; a finite loop walks its lasso only to the
-        # circle's antipode and closes by conjugation, n_tail + ceil(steps/2)
+        # the segments walked, steps_used without halving: n_tail +
+        # ceil(steps/2) to a finite loop's antipode; about n_tail + steps/2
+        # + 1 for the infinity loop's two walks to -R and +R, summed
         "waypoints",
         "max_halving_depth",  # deepest halving level that committed a step
 ))):
@@ -558,56 +562,63 @@ def _match(src, dst, ratio: float) -> tuple:
     return tuple(pi)
 
 
+def _close(b_end, xs_end, xs0, eps: int, ratio: float) -> tuple:
+    """(pi, m) of H conj(H)^-1, for a walk H from the base roots ``xs0``
+    to ``b_end``, ``xs_end`` at a real point (see the module docstring)."""
+    power = _power_of_i(b_end / (eps * b_end.conjugate()))
+    mu = _I_POWERS[-power % 4]
+    sigma = _match([eps * (mu * y).conjugate() for y in xs_end], xs_end,
+                   ratio)
+    kappa = _match([eps * x.conjugate() for x in xs0], xs0, ratio)
+    return tuple(kappa[j] for j in sigma), power
+
+
 def track_loop(spec: LoopSpec, cfg: TrackingConfig) -> TrackResult:
     """Track one loop and return its root permutation with diagnostics.
 
     It takes exactly (spec, cfg), from which perfbench's tracer names its
-    spans.  The infinity loop walks its lasso, and fails unless the branch
-    closes within ``tol_lambda`` of a fourth root of unity times its value
-    at the entry and the rescaled final roots match the entry roots by the
-    ratio test.  A finite loop walks the lasso's waypoints up to its
-    circle's antipode M = 2p - entry, then M itself, and is closed by
-    complex conjugation (see the module docstring): it fails unless the
-    roots at M match their rotated mirror images, and the entry roots
-    theirs, by the ratio test.  Either walk may halve as often as the
-    closed contour's budget allows beyond its waypoints.
+    spans.  A finite loop walks the lasso's waypoints up to its circle's
+    antipode M = 2p - entry, then M; the infinity loop walks H0 and H1 to
+    -R and +R (see the module docstring), so pi = pi1' . pi0'.  A closure
+    fails unless the roots at its real point match their rotated mirror
+    images, and the base roots theirs, by the ratio test.  The walks of a
+    loop may halve, together, as often as its closed contour's budget
+    allows beyond their waypoints.
     """
     b0, xs0, ts, entry = loop_start(spec, cfg)
     closed = len(ts) - 1 + entry
     allowance = cfg.budget(closed) - closed
-    if spec.puncture != "inf":
+    eps, ratio = (-1) ** cfg.branch, cfg.tol_match_ratio
+    if spec.puncture == "inf":
+        # the circle's upper arc from the entry, clockwise to +R for H1
+        # and counter-clockwise to -R for H0
+        upper = [t.imag > 0 for t in ts[entry + 1:-1]]
+        h1 = ts[:-2 - upper[::-1].index(False):-1] + [complex(spec.radius)]
+        ts = ts[:entry + 1 + upper.index(False)] + [complex(-spec.radius)]
+    else:
         # the circle's first half, to the exactly real antipode
         ts = ts[:entry + (len(ts) - entry) // 2]
         ts.append(2 * spec.puncture - ts[entry])
     waypoints = len(ts) - 1
     (b_end, xs_end, max_residual, min_sep, steps_used, depth,
      b_entry, xs_entry) = track_path(
-        ts, b0, xs0, cfg.tol_residual, cfg.tol_match_ratio, MAX_DEPTH,
+        ts, b0, xs0, cfg.tol_residual, ratio, MAX_DEPTH,
         waypoints + allowance, entry=entry)
-
-    ratio = cfg.tol_match_ratio
+    pi, power = _close(b_end, xs_end, xs0, eps, ratio)
     if spec.puncture == "inf":
-        lam = b_end / b_entry
-        power = min(range(4), key=lambda k: abs(lam - _I_POWERS[k]))
-        if abs(lam - _I_POWERS[power]) > cfg.tol_lambda:
-            raise TrackingError(
-                f"branch drift {lam} is not a fourth root of unity "
-                f"within {cfg.tol_lambda}")
-        mu = _I_POWERS[-power % 4]
-        pi = _match([mu * z for z in xs_end], xs_entry, ratio)
-    else:
-        eps = (-1) ** cfg.branch
-        power = _power_of_i(b_end / (eps * b_end.conjugate()))
-        lam = _I_POWERS[power]
-        mu = _I_POWERS[-power % 4]
-        sigma = _match([eps * (mu * y).conjugate() for y in xs_end],
-                       xs_end, ratio)
-        kappa = _match([eps * x.conjugate() for x in xs_entry],
-                       xs_entry, ratio)
-        pi = tuple(kappa[j] for j in sigma)
+        (b_end, xs_end, residual, sep, used, deep, *_) = track_path(
+            h1, b_entry, xs_entry, cfg.tol_residual, ratio, MAX_DEPTH,
+            len(h1) - 1 + allowance - (steps_used - waypoints))
+        rho, m1 = _close(b_end, xs_end, xs0, eps, ratio)
+        # pi1' = rho^-1, and pi_inf = pi1' . pi0'
+        pi = tuple(rho.index(k) for k in pi)
+        power = (power - m1) % 4
+        max_residual, min_sep = max(max_residual, residual), min(min_sep, sep)
+        steps_used, waypoints = steps_used + used, waypoints + len(h1) - 1
+        depth = max(depth, deep)
     return TrackResult(
         pi=pi,
-        lam=lam,
+        lam=_I_POWERS[power],
         lam_power=power,
         max_residual=max_residual,
         min_separation=min_sep,

@@ -331,8 +331,8 @@ HALVING_CFG = TrackingConfig(tol_match_ratio=8.0)
 def test_coarse_but_rescuable_uses_halving():
     cfg = HALVING_CFG
     t = monodromy_triple(cfg)
-    base_steps = len(contour(loop_spec(cfg, "inf"))) - 1
-    assert t.loops["inf"].steps_used > base_steps  # halving really ran
+    res = t.loops["inf"]
+    assert res.steps_used > res.waypoints  # halving really ran
     fine = monodromy_triple(CFG)
     assert (t.pi0, t.pi1, t.pi_inf) == (fine.pi0, fine.pi1, fine.pi_inf)
 
@@ -355,9 +355,9 @@ def test_pinned_permutations(steps, branch):
         PINNED_CYCLES[branch]
 
 
-# the halvings of the infinity lasso, by match ratio: those of the closed
-# contour but the 4 and 21 its way back took
-LASSO_HALVINGS = {8.0: 3, 19.0: 37}
+# the halvings of the infinity loop's two walks to the real points, by
+# match ratio: 3 and 28, where its closed contour halves 7 and 58 times
+LASSO_HALVINGS = {8.0: 3, 19.0: 28}
 
 
 @pytest.mark.parametrize("ratio, halvings", [(8.0, 7), (19.0, 58)])
@@ -398,7 +398,9 @@ def test_repeated_waypoints_keep_the_permutation(monkeypatch):
     # permutations are those recorded from the tracker that started Newton
     # at the old roots, and the halving count is the lasso's.  A finite
     # loop walks the doubled lasso to its circle's antipode: 15 tail
-    # waypoints and 33 of the circle's 65, the antipode included
+    # waypoints and 33 of the circle's 65, the antipode included.  The
+    # infinity loop walks the 15, then 17 waypoints of the upper arc and
+    # -R, and from the entry 15 of the arc the other way and +R
     real = tracking.contour
     monkeypatch.setattr(tracking, "contour",
                         lambda spec: [t for t in real(spec)
@@ -409,7 +411,7 @@ def test_repeated_waypoints_keep_the_permutation(monkeypatch):
         for p, pi in pinned.items():
             res = track_loop(loop_spec(cfg, p), cfg)
             assert res.pi == pi
-            assert res.waypoints == (80 if p == "inf" else 48)
+            assert res.waypoints == (49 if p == "inf" else 48)
             assert res.steps_used - res.waypoints == \
                 (halvings if p == "inf" else 0)
 
@@ -474,6 +476,68 @@ def test_finite_loop_walks_to_the_real_antipode(monkeypatch, puncture,
     assert path[:-1] == ts[:entry + math.ceil(steps / 2)]
     assert path[-1].imag == 0
     assert path[-1] == 2 * puncture - ts[entry]
+
+
+@pytest.mark.parametrize("steps", [4, 9, 32, 33, 1024])
+def test_infinity_walks_to_the_real_points(monkeypatch, steps):
+    # the infinity loop walks the contour's prefix through the circle's
+    # upper arc counter-clockwise, then -R exactly; then, from the entry,
+    # the upper arc clockwise, then +R exactly.  The two arcs share no
+    # waypoint and cover the circle's upper half.  At 4 steps the first
+    # walk spends the halving allowance and the second fails its budget
+    contours, paths = [], []
+    real_contour, real_track_path = tracking.contour, tracking.track_path
+
+    def recorded_contour(spec):
+        contours.append(real_contour(spec))
+        return contours[-1]
+
+    def recorded_track_path(ts, *args, **kwargs):
+        paths.append(ts)
+        return real_track_path(ts, *args, **kwargs)
+
+    monkeypatch.setattr(tracking, "contour", recorded_contour)
+    monkeypatch.setattr(tracking, "track_path", recorded_track_path)
+    cfg = TrackingConfig(steps=steps)
+    _outcome(track_loop, loop_spec(cfg, "inf"), cfg)
+    (ts,), (h0, h1) = contours, paths
+    entry = ts.index(ts[-1])
+    n0, n1 = len(h0) - 2 - entry, len(h1) - 2
+    assert h0[:-1] == ts[:entry + 1 + n0]
+    assert h1[:-1] == ts[:-2 - n1:-1]
+    assert h1[0] == ts[entry]
+    assert all(t.imag > 0 for t in h0[entry:-1] + h1[:-1])
+    assert ts[entry + 1 + n0].imag <= 0 and ts[-2 - n1].imag <= 0
+    assert n0 + n1 == sum(t.imag > 0 for t in ts[entry + 1:-1])
+    assert h0[-1] == complex(-cfg.radius_inf, 0.0)
+    assert h1[-1] == complex(cfg.radius_inf, 0.0)
+    assert h0[-1].imag == h1[-1].imag == 0
+
+
+@pytest.mark.parametrize("branch", range(4))
+@pytest.mark.parametrize("base_t", [0.3, 0.5, 0.7])
+def test_infinity_half_closures_are_the_finite_loops(monkeypatch, base_t,
+                                                     branch):
+    # cut along Re t = t0, the walk to -R closes as the loop around 0 and
+    # the walk to +R as the inverse of the loop around 1: each closure on
+    # its own reads the closed contour's permutation and power of i, and
+    # the infinity loop is their composite
+    closures = []
+    real_close = tracking._close
+
+    def recorded_close(*args):
+        closures.append(real_close(*args))
+        return closures[-1]
+
+    monkeypatch.setattr(tracking, "_close", recorded_close)
+    cfg = TrackingConfig(base_t=base_t, branch=branch)
+    res = track_loop(loop_spec(cfg, "inf"), cfg)
+    (pi0, m0), (rho, m1) = closures
+    assert (pi0, m0) == closed_reference_loop(loop_spec(cfg, 0), cfg)[:2]
+    assert (inverse(rho), -m1 % 4) == \
+        closed_reference_loop(loop_spec(cfg, 1), cfg)[:2]
+    assert (res.pi, res.lam_power) == \
+        (compose(inverse(rho), pi0), (m0 - m1) % 4)
 
 
 def _mirror_of_base_roots(cfg):
@@ -636,7 +700,8 @@ def test_diagnostics_without_halving():
         diag = res.diagnostics()
         assert diag["max_halving_depth"] == 0
         assert diag["steps_used"] == diag["waypoints"]
-    assert loops["inf"].waypoints == n_tail + steps
+    # the infinity loop walks the upper arc each way, to -R and +R
+    assert loops["inf"].waypoints == n_tail + steps // 2 + 1
     # a finite loop walks its circle only to the antipode
     assert loops[0].waypoints == loops[1].waypoints == n_tail + steps // 2
 
@@ -935,7 +1000,8 @@ def test_try_step_rejects_when_only_one_root_fails(i):
 
 
 def _abs_calls(monkeypatch, steps, puncture):
-    """(abs calls, committed steps) of one loop."""
+    """(abs calls, committed steps) of one loop; of the infinity loop, the
+    kernel's walk of its full lasso, as :mod:`certify` walks it."""
     calls = 0
 
     def counting_abs(z):
@@ -945,9 +1011,16 @@ def _abs_calls(monkeypatch, steps, puncture):
 
     monkeypatch.setattr(tracking, "abs", counting_abs, raising=False)
     cfg = TrackingConfig(steps=steps)
-    res = track_loop(loop_spec(cfg, puncture), cfg)
+    spec = loop_spec(cfg, puncture)
+    if puncture == "inf":
+        b0, xs0, ts, entry = tracking.loop_start(spec, cfg)
+        steps_used = track_path(
+            ts, b0, xs0, cfg.tol_residual, cfg.tol_match_ratio,
+            tracking.MAX_DEPTH, cfg.budget(len(ts) - 1), entry=entry)[4]
+    else:
+        steps_used = track_loop(spec, cfg).steps_used
     monkeypatch.undo()
-    return calls, res.steps_used
+    return calls, steps_used
 
 
 def test_step_work_guard(monkeypatch):
